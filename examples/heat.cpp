@@ -4,7 +4,8 @@
 // simulations / CFD): an explicit 2D heat stencil whose band distribution
 // rebalances itself at runtime, with halo exchange between neighbouring
 // devices. Demonstrates the dynamic load balancer on a point-to-point
-// communication pattern, plus the rebalance threshold (paper ref [6]).
+// communication pattern, gated by the platform's `equalize threshold`
+// policy (the rebalance threshold of paper ref [6]).
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,17 +23,20 @@ int main() {
 
   Cluster Cl = makeHclLikeCluster(false);
   Cl.NoiseSigma = 0.01;
+  // The `.cluster` line `equalize threshold threshold 0.10`: rebalance
+  // only when the imbalance rises 10% above what balancing achieved.
+  Cl.Equalize.Policy = "threshold";
+  Cl.Equalize.TriggerThreshold = 0.10;
 
   StencilOptions O;
   O.Rows = 122; // 120 interior rows over 6 devices.
   O.Cols = 96;
   O.Iterations = 25;
   O.Balance = true;
-  O.RebalanceThreshold = 0.10; // Rebalance only above 10% imbalance.
 
   std::cout << "grid " << O.Rows << "x" << O.Cols << " on " << Cl.size()
             << " heterogeneous devices; rebalance threshold "
-            << O.RebalanceThreshold << "\n\n";
+            << Cl.Equalize.TriggerThreshold << "\n\n";
 
   StencilReport R = runStencil(Cl, O);
 

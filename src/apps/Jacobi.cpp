@@ -63,15 +63,6 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
     return Report;
   }
   engine::Session &Engine = *SessionR.value();
-  // create() adopted the platform spec's `equalize` line when Options
-  // left the policy empty; this resolved config drives the loop.
-  const equalize::EqualizeConfig &EqCfg = Engine.config().Equalize;
-  bool UseEqualize = Options.Balance && !EqCfg.Policy.empty();
-
-  engine::BalancePolicy Policy;
-  Policy.Enabled = Options.Balance;
-  Policy.RebalanceThreshold = Options.RebalanceThreshold;
-  Policy.TrackFailures = true;
 
   std::vector<JacobiIteration> Stats(
       static_cast<std::size_t>(Options.MaxIterations));
@@ -97,12 +88,10 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
 
     // Each rank owns a policy replica; identical configs fed identical
     // gathered times keep the replicas in lockstep (no extra collectives).
+    // A static run has no policy and makes no balancing call.
     std::unique_ptr<equalize::Equalizer> Eq;
-    if (UseEqualize) {
-      Result<std::unique_ptr<equalize::Equalizer>> EqR =
-          equalize::makeEqualizer(EqCfg);
-      Eq = std::move(EqR.value()); // Config validated at session create.
-    }
+    if (Options.Balance)
+      Eq = std::move(Engine.makeEqualizer().value()); // Validated at create.
 
     // The system lives in a partitioner-aware container: one unit = one
     // matrix row interleaved with its right-hand-side entry, [a_r0 ..
@@ -163,13 +152,10 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
       }
 
       // Load balancing with the (rows, iteration-time) point, exactly the
-      // paper's fupermod_balance_iterate call site. With a positive
-      // threshold, the balancer only runs when the measured imbalance
-      // warrants the redistribution cost (ref [6]). The equalization
-      // path replaces the threshold test with the configured policy.
-      bool Balanced = Eq ? Loop.balanceEqualized(C, IterStart, *Eq, DevFailed)
-                         : Loop.balance(C, IterStart, Policy, DevFailed);
-      if (Balanced && Me == 0)
+      // paper's fupermod_balance_iterate call site; the policy decides
+      // whether this round's imbalance warrants a repartition.
+      if (Eq && Loop.balanceEqualized(C, IterStart, *Eq, DevFailed) &&
+          Me == 0)
         ++RebalanceCount;
 
       // Exchange solution fragments (by the distribution used to compute

@@ -11,8 +11,9 @@
 ///
 ///   1. every process sweeps its rows (real arithmetic; virtual cost from
 ///      its device profile, one computation unit = one row),
-///   2. the compute duration feeds `balanceIterate`, which updates the
-///      partial FPMs and repartitions,
+///   2. the compute duration feeds the balancing step
+///      (engine::BalancedLoop), which updates the partial FPMs and, when
+///      the equalization policy asks for it, repartitions,
 ///   3. rows of A and entries of b migrate to match the new distribution,
 ///   4. the updated solution fragments are allgathered.
 ///
@@ -39,14 +40,9 @@ struct JacobiOptions {
   int MaxIterations = 30;
   /// Stop when the largest |x_new - x_old| falls below this.
   double Tolerance = 1e-10;
-  /// Rebalance the row distribution at runtime.
+  /// Rebalance the row distribution at runtime (false = static even
+  /// distribution, no balancing collectives at all).
   bool Balance = true;
-  /// Rebalance only when the relative imbalance of the measured
-  /// iteration times, (max - min) / max, exceeds this threshold
-  /// (0 = rebalance every iteration). The threshold criterion of the
-  /// paper's dynamic load balancing algorithm (ref [6]) avoids paying
-  /// redistribution cost for marginal gains.
-  double RebalanceThreshold = 0.0;
   /// Partitioning algorithm used by the balancer.
   std::string Algorithm = "geometric";
   /// Partial-model kind used by the balancer.
@@ -56,12 +52,12 @@ struct JacobiOptions {
   /// devices whose speed changes mid-run — e.g. an injected slowdown —
   /// instead of averaging the old and new regimes forever.
   double StalenessDecay = 1.0;
-  /// Equalization policy. With a non-empty Policy (and Balance on), the
-  /// loop takes the equalization path (BalancedLoop::balanceEqualized)
-  /// instead of the legacy threshold test; empty keeps the historical
-  /// balance() path bit for bit. Left empty, a platform spec carrying an
-  /// `equalize` line still turns the subsystem on (Session::create
-  /// adopts it).
+  /// Equalization policy deciding in which rounds the balancer
+  /// repartitions (with Balance on). Left empty, the platform spec's
+  /// `equalize` line applies, else every round is balanced. The
+  /// "threshold" policy rebalances only when the measured imbalance
+  /// warrants the redistribution cost (the threshold criterion of the
+  /// paper's dynamic load balancing algorithm, ref [6]).
   equalize::EqualizeConfig Equalize;
 };
 
@@ -82,7 +78,8 @@ struct JacobiReport {
   double Makespan = 0.0;
   /// True when the tolerance was reached within the iteration cap.
   bool Converged = false;
-  /// Number of iterations in which the balancer actually ran.
+  /// Number of iterations in which the balancing policy solved for a
+  /// new distribution (adopted or vetoed).
   int Rebalances = 0;
   /// Final solution vector (identical on all ranks; exposed for checks).
   std::vector<double> Solution;
@@ -91,7 +88,7 @@ struct JacobiReport {
   /// Ranks whose devices hard-failed during the run (excluded by the
   /// balancer; empty on a healthy run).
   std::vector<int> FailedRanks;
-  /// Equalization-policy tallies (all zero on the legacy path).
+  /// Equalization-policy tallies (all zero when Balance is off).
   equalize::EqualizeStats Equalize;
   /// Communication counters of the run (redistribute/halo bytes plus the
   /// "equalize.*" named counters published by rank 0).

@@ -72,10 +72,6 @@ StencilReport fupermod::runStencil(const Cluster &Platform,
   }
   engine::Session &Engine = *SessionR.value();
 
-  engine::BalancePolicy Policy;
-  Policy.Enabled = Options.Balance;
-  Policy.RebalanceThreshold = Options.RebalanceThreshold;
-
   std::vector<StencilIteration> Stats(
       static_cast<std::size_t>(Options.Iterations));
   for (auto &S : Stats) {
@@ -91,6 +87,11 @@ StencilReport fupermod::runStencil(const Cluster &Platform,
     int Me = C.rank();
     SimDevice Dev = Platform.makeDevice(Me);
     engine::BalancedLoop Loop = Engine.makeBalancedLoop(Interior, P);
+    // One policy replica per rank (a platform `equalize` line, else every
+    // round); a static run has none and makes no balancing call.
+    std::unique_ptr<equalize::Equalizer> Eq;
+    if (Options.Balance)
+      Eq = std::move(Engine.makeEqualizer().value()); // Validated at create.
 
     // The band lives in a partitioner-aware container: one unit = one
     // interior grid row (Cols doubles), global row coordinates starting
@@ -160,7 +161,7 @@ StencilReport fupermod::runStencil(const Cluster &Platform,
 
       // Dynamic balancing, as in the Jacobi use case; the container
       // migrates rows only when the repartition moved units.
-      if (Loop.balance(C, IterStart, Policy) && Me == 0)
+      if (Eq && Loop.balanceEqualized(C, IterStart, *Eq) && Me == 0)
         ++Rebalances;
       Loop.redistributeIfChanged(U);
     }

@@ -13,7 +13,8 @@
 /// neighbours (point-to-point, unlike the matmul/Jacobi collectives),
 /// sweeps the band with the 5-point stencil, and optionally rebalances
 /// the band heights with the dynamic load balancer, migrating grid rows
-/// between devices.
+/// between devices. The balancer follows the platform spec's `equalize`
+/// policy, and balances every round when the spec has none.
 ///
 /// One computation unit = one grid row of Cols cells.
 ///
@@ -38,10 +39,9 @@ struct StencilOptions {
   int Cols = 64;
   /// Number of sweeps.
   int Iterations = 30;
-  /// Rebalance band heights at runtime.
+  /// Rebalance band heights at runtime (false = static even bands, no
+  /// balancing collectives at all).
   bool Balance = true;
-  /// Rebalance only above this measured imbalance (0 = always).
-  double RebalanceThreshold = 0.0;
   /// Partitioning algorithm used by the balancer.
   std::string Algorithm = "geometric";
   /// Partial-model kind used by the balancer.
@@ -67,7 +67,8 @@ struct StencilReport {
   double MaxError = 0.0;
   /// Total halo rows sent between ranks.
   long long HaloRowsSent = 0;
-  /// Iterations in which the balancer ran.
+  /// Iterations in which the balancing policy solved for a new
+  /// distribution (adopted or vetoed).
   int Rebalances = 0;
   /// Non-empty when the run could not start (e.g. an unknown algorithm
   /// or model-kind name); the diagnostic lists the registered names.

@@ -187,32 +187,3 @@ int fupermod::runDynamicPartitioning(DynamicContext &Ctx, Comm &C,
       return It;
   return MaxIterations;
 }
-
-double fupermod::balanceIterate(DynamicContext &Ctx, Comm &C,
-                                double IterStartTime, bool DeviceFailed) {
-  assert(Ctx.size() == C.size() && "context/communicator size mismatch");
-  // The measurement is the real duration of the application iteration the
-  // caller just finished on its current share (paper Fig. 4 usage).
-  Point Mine;
-  Mine.Units = static_cast<double>(
-      std::max<std::int64_t>(Ctx.dist().Parts[C.rank()].Units, 1));
-  if (DeviceFailed) {
-    Mine.Reps = 0;
-    Mine.Time = std::numeric_limits<double>::infinity();
-    Mine.Status = PointStatus::DeviceFailed;
-  } else {
-    Mine.Time = C.time() - IterStartTime;
-    Mine.Reps = 1;
-    assert(Mine.Time >= 0.0 && "iteration start lies in the future");
-    if (Mine.Time <= 0.0) {
-      // Degenerate timing: contribute nothing. TimedOut (a health
-      // status) keeps Model::update from misreading the share as an
-      // infeasible *size*.
-      Mine.Reps = 0;
-      Mine.Status = PointStatus::TimedOut;
-    }
-  }
-
-  std::vector<Point> All = C.allgatherv(std::span<const Point>(&Mine, 1));
-  return Ctx.updateAllAndRepartition(All);
-}

@@ -11,7 +11,9 @@
 /// models built in advance, these algorithms build *partial* estimates
 /// from measurements taken at the problem sizes the partitioning itself
 /// visits, converging to a balanced distribution at a fraction of the
-/// model-construction cost.
+/// model-construction cost. The balancing step that feeds application
+/// iterations into a DynamicContext is engine::BalancedLoop
+/// (engine/Balance.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -137,20 +139,6 @@ bool partitionIterate(DynamicContext &Ctx, Comm &C,
 int runDynamicPartitioning(DynamicContext &Ctx, Comm &C,
                            BenchmarkBackend &Backend, const Precision &Prec,
                            double Eps, int MaxIterations);
-
-/// One step of dynamic load balancing, executed collectively on \p C.
-///
-/// The calling rank contributes the duration of the application iteration
-/// that started at virtual time \p IterStartTime on its current share;
-/// every rank then updates the partial models and repartitions. Returns
-/// the relative change of the distribution.
-///
-/// A rank whose device has hard-failed passes \p DeviceFailed = true; its
-/// contribution then carries PointStatus::DeviceFailed, every rank
-/// excludes it in lockstep, and the repartition shifts its share onto
-/// the survivors.
-double balanceIterate(DynamicContext &Ctx, Comm &C, double IterStartTime,
-                      bool DeviceFailed = false);
 
 } // namespace fupermod
 

@@ -19,40 +19,6 @@ BalancedLoop::BalancedLoop(Partitioner Algorithm,
   Ctx.setStalenessDecay(StalenessDecay);
 }
 
-bool BalancedLoop::balance(Comm &C, double IterStart,
-                           const BalancePolicy &Policy, bool DeviceFailed) {
-  if (!Policy.Enabled)
-    return false;
-  // Snapshot the local iteration duration before any collective: the
-  // threshold allreduces synchronise the clocks, which would otherwise
-  // erase the per-rank timing signal.
-  double MyIterTime = C.time() - IterStart;
-  bool Rebalance = true;
-  if (Policy.RebalanceThreshold > 0.0) {
-    double MaxT = C.allreduceValue(MyIterTime, ReduceOp::Max);
-    double MinT = C.allreduceValue(MyIterTime, ReduceOp::Min);
-    if (Policy.TrackFailures) {
-      // A hard failure anywhere overrides the threshold: the dead
-      // rank's units must move regardless of measured imbalance.
-      double AnyFailed =
-          C.allreduceValue(DeviceFailed ? 1.0 : 0.0, ReduceOp::Max);
-      Rebalance = AnyFailed > 0.0 ||
-                  (MaxT > 0.0 &&
-                   (MaxT - MinT) / MaxT > Policy.RebalanceThreshold);
-    } else {
-      Rebalance = MaxT > 0.0 &&
-                  (MaxT - MinT) / MaxT > Policy.RebalanceThreshold;
-    }
-  }
-  if (Rebalance) {
-    Dist Before = Ctx.dist();
-    balanceIterate(Ctx, C, C.time() - MyIterTime, DeviceFailed);
-    if (!Ctx.dist().sameUnits(Before))
-      ++DistEpoch;
-  }
-  return Rebalance;
-}
-
 namespace {
 
 /// One rank's contribution to the equalization gather.
@@ -120,8 +86,9 @@ bool BalancedLoop::balanceEqualized(Comm &C, double IterStart,
                     : 0;
   }
 
-  // Build the measurement points with balanceIterate's exact rules, so
-  // the partial models see the same data the legacy path would feed.
+  // Each rank's measurement: the iteration it just finished on its
+  // current share (paper Fig. 4 usage). An empty rank still reports one
+  // unit so its model gets data.
   std::vector<Point> Points(P);
   for (std::size_t R = 0; R < P; ++R) {
     Point &Pt = Points[R];
@@ -135,6 +102,9 @@ bool BalancedLoop::balanceEqualized(Comm &C, double IterStart,
       Pt.Time = Times[R];
       Pt.Reps = 1;
       if (Pt.Time <= 0.0) {
+        // Degenerate timing: contribute nothing. TimedOut (a health
+        // status) keeps Model::update from misreading the share as an
+        // infeasible *size*.
         Pt.Reps = 0;
         Pt.Status = PointStatus::TimedOut;
       }
@@ -175,55 +145,4 @@ bool BalancedLoop::balanceEqualized(Comm &C, double IterStart,
   if (C.rank() == 0)
     publishStatsDelta(C, StatsBefore, Eq.stats());
   return true;
-}
-
-std::vector<std::int64_t> fupermod::engine::contiguousStarts(const Dist &D,
-                                                             std::int64_t
-                                                                 Base) {
-  return D.contiguousStarts(Base);
-}
-
-void fupermod::engine::redistributeContiguous(
-    Comm &C, std::span<const std::int64_t> OldStarts,
-    std::span<const std::int64_t> NewStarts, int Tag,
-    const RangeCopier &Copy) {
-  int P = C.size();
-  int Me = C.rank();
-  assert(OldStarts.size() == static_cast<std::size_t>(P) + 1 &&
-         NewStarts.size() == static_cast<std::size_t>(P) + 1 &&
-         "start arrays must have one entry per rank plus the end");
-  std::int64_t MyStart = OldStarts[static_cast<std::size_t>(Me)];
-  std::int64_t MyEnd = OldStarts[static_cast<std::size_t>(Me) + 1];
-  std::int64_t NewStart = NewStarts[static_cast<std::size_t>(Me)];
-  std::int64_t NewEnd = NewStarts[static_cast<std::size_t>(Me) + 1];
-
-  // Ship overlaps of my old range with everyone's new range (buffered
-  // sends first: deadlock-free).
-  for (int Q = 0; Q < P; ++Q) {
-    std::int64_t Lo =
-        std::max(MyStart, NewStarts[static_cast<std::size_t>(Q)]);
-    std::int64_t Hi =
-        std::min(MyEnd, NewStarts[static_cast<std::size_t>(Q) + 1]);
-    if (Lo >= Hi)
-      continue;
-    if (Q == Me) {
-      Copy.Keep(Lo, Hi);
-      continue;
-    }
-    std::vector<double> Payload = Copy.Pack(Lo, Hi);
-    C.send<double>(Q, Tag, Payload);
-  }
-  // Receive the units my new range takes over from others.
-  for (int Q = 0; Q < P; ++Q) {
-    if (Q == Me)
-      continue;
-    std::int64_t Lo =
-        std::max(NewStart, OldStarts[static_cast<std::size_t>(Q)]);
-    std::int64_t Hi =
-        std::min(NewEnd, OldStarts[static_cast<std::size_t>(Q) + 1]);
-    if (Lo >= Hi)
-      continue;
-    std::vector<double> Payload = C.recv<double>(Q, Tag);
-    Copy.Unpack(Lo, Hi, Payload);
-  }
 }

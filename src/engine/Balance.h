@@ -5,21 +5,15 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The engine-side driver of the apps' dynamic load-balancing loops. The
-/// iterative applications (Jacobi, the stencil) used to each re-implement
-/// the same three pieces around DynamicContext:
-///
-///  - the imbalance-threshold test (allreduce the iteration times, only
-///    rebalance when (max - min) / max clears the threshold),
-///  - the balanceIterate call feeding the measured iteration into the
-///    partial models,
-///  - the contiguous-range redistribution shipping overlaps of the old
-///    and new per-rank ranges (buffered sends first, then receives).
-///
-/// BalancedLoop and redistributeContiguous() factor those out. The
-/// collective sequence (allreduce order, message order, payload sizes) is
-/// exactly the apps' historical one, so virtual-time traces are
-/// bit-identical to the pre-engine code.
+/// The engine-side driver of the apps' dynamic load-balancing loop (the
+/// paper's `fupermod_balance_iterate`, Section 4.4). Every round the
+/// iterative applications (Jacobi, the stencil) time their iteration on
+/// the current share, feed the measurements into the partial models and
+/// let an equalization policy decide whether to repartition — the
+/// session's policy (Session::makeEqualizer), which balances every round
+/// unless configured otherwise. BalancedLoop owns the replicated dynamic
+/// context and the distribution epoch that tells the apps' containers
+/// when to migrate data.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,9 +23,6 @@
 #include "core/Dynamic.h"
 
 #include <cstdint>
-#include <functional>
-#include <span>
-#include <vector>
 
 namespace fupermod {
 
@@ -43,23 +34,9 @@ class Equalizer;
 
 namespace engine {
 
-/// Per-iteration balancing policy of an application loop.
-struct BalancePolicy {
-  /// Master switch: disabled loops never rebalance (static distribution).
-  bool Enabled = true;
-  /// Rebalance only when the relative imbalance of the measured
-  /// iteration times, (max - min) / max, exceeds this (0 = every
-  /// iteration).
-  double RebalanceThreshold = 0.0;
-  /// Also allreduce a device-failure flag with the threshold test; a
-  /// failure anywhere overrides the threshold (the dead rank's share
-  /// must move regardless of measured imbalance).
-  bool TrackFailures = false;
-};
-
 /// One application's balancing state: the dynamic context (partial
-/// models + current distribution) plus the threshold-gated rebalance
-/// step. Each SPMD rank owns one (replicated) instance.
+/// models + current distribution) plus the policy-gated rebalance step.
+/// Each SPMD rank owns one (replicated) instance.
 class BalancedLoop {
 public:
   /// \p Algorithm must be non-null (obtain it via
@@ -74,36 +51,28 @@ public:
   /// Current distribution.
   const Dist &dist() const { return Ctx.dist(); }
 
-  /// The per-iteration balance step, collective on \p C: snapshots the
-  /// iteration duration since \p IterStart, applies the threshold test
-  /// (with the exact allreduce sequence of the historical apps), and
-  /// when warranted feeds the duration into balanceIterate. Returns true
-  /// when the balancer ran. Bumps distEpoch() when the run actually
-  /// moved units between ranks.
-  bool balance(Comm &C, double IterStart, const BalancePolicy &Policy,
-               bool DeviceFailed = false);
-
-  /// The equalization-subsystem variant of balance(), collective on \p C:
-  /// gathers every rank's iteration duration and failure flag in one
-  /// allgather, feeds them to the replicated \p Eq policy
-  /// (equalize::Equalizer decides *whether* this round warrants a solve),
-  /// and on a trigger repartitions — then lets the policy's approve()
-  /// step veto adoption (cost arbitration). A vetoed solve keeps the
-  /// measurements in the partial models but restores the previous
-  /// distribution, so the running data layout never moves for a
-  /// non-amortizing rebalance. A device failure anywhere forces both the
-  /// solve and adoption. Bumps distEpoch() only on adopted repartitions
-  /// that moved units. Returns true when a solve ran (adopted or
-  /// vetoed). Every rank must pass an identically configured policy
-  /// instance; only rank 0 publishes the policy's statistics deltas into
-  /// the world counters (Comm::accumulateCounter, "equalize.*" keys).
+  /// The per-iteration balance step, collective on \p C: gathers every
+  /// rank's iteration duration since \p IterStart and failure flag in
+  /// one allgather, feeds them into the partial models, asks the
+  /// replicated \p Eq policy (equalize::Equalizer decides *whether* this
+  /// round warrants a solve), and on a trigger repartitions — then lets
+  /// the policy's approve() step veto adoption (cost arbitration). A
+  /// vetoed solve keeps the measurements in the partial models but
+  /// restores the previous distribution, so the running data layout
+  /// never moves for a non-amortizing rebalance. A device failure
+  /// anywhere forces both the solve and adoption. Bumps distEpoch() only
+  /// on adopted repartitions that moved units. Returns true when a solve
+  /// ran (adopted or vetoed). Every rank must pass an identically
+  /// configured policy instance; only rank 0 publishes the policy's
+  /// statistics deltas into the world counters (Comm::accumulateCounter,
+  /// "equalize.*" keys).
   bool balanceEqualized(Comm &C, double IterStart, equalize::Equalizer &Eq,
                         bool DeviceFailed = false);
 
-  /// Distribution epoch: starts at zero and increments every time
-  /// balance() changes the per-rank unit counts (threshold-suppressed or
-  /// no-op balancer runs do not count). Data structures synchronised to
-  /// an older epoch must redistribute.
+  /// Distribution epoch: starts at zero and increments every time a
+  /// balance step adopts a repartition that changed the per-rank unit
+  /// counts (skipped, vetoed and no-op solves do not count). Data
+  /// structures synchronised to an older epoch must redistribute.
   std::uint64_t distEpoch() const { return DistEpoch; }
 
   /// Migrates \p V (a dist::PartitionedVector or anything exposing
@@ -124,35 +93,6 @@ private:
   DynamicContext Ctx;
   std::uint64_t DistEpoch = 0;
 };
-
-/// Callbacks moving units between the old and new local storage during a
-/// contiguous-range redistribution. Ranges are in global unit
-/// coordinates.
-struct RangeCopier {
-  /// Serializes old-local units [Lo, Hi) into one message payload.
-  std::function<std::vector<double>(std::int64_t Lo, std::int64_t Hi)> Pack;
-  /// Places units [Lo, Hi) received as \p Payload into the new storage.
-  std::function<void(std::int64_t Lo, std::int64_t Hi,
-                     std::span<const double> Payload)>
-      Unpack;
-  /// Moves the self-overlap [Lo, Hi) from the old to the new storage.
-  std::function<void(std::int64_t Lo, std::int64_t Hi)> Keep;
-};
-
-/// Ships the overlaps between the old and new contiguous per-rank ranges
-/// (prefix-start arrays of size P + 1), collective on \p C: buffered
-/// sends of my old units that now belong to others, then receives of the
-/// units my new range takes over — the deadlock-free order the apps
-/// always used. \p Tag tags every message.
-void redistributeContiguous(Comm &C, std::span<const std::int64_t> OldStarts,
-                            std::span<const std::int64_t> NewStarts, int Tag,
-                            const RangeCopier &Copy);
-
-/// Prefix starts [Start[r], Start[r+1]) of a distribution's contiguous
-/// ranges, beginning at \p Base (0 for row indices, 1 for grid-interior
-/// coordinates).
-std::vector<std::int64_t> contiguousStarts(const Dist &D,
-                                           std::int64_t Base = 0);
 
 } // namespace engine
 } // namespace fupermod

@@ -443,7 +443,11 @@ BalancedLoop Session::makeBalancedLoop(std::int64_t Total, int NumProcs,
 }
 
 Result<std::unique_ptr<equalize::Equalizer>> Session::makeEqualizer() const {
-  return equalize::makeEqualizer(Config.Equalize);
+  if (!Config.Equalize.Policy.empty())
+    return equalize::makeEqualizer(Config.Equalize);
+  equalize::EqualizeConfig EveryRound;
+  EveryRound.Policy = "every";
+  return equalize::makeEqualizer(EveryRound);
 }
 
 CommStatsSnapshot Session::commTraffic() const {

@@ -98,13 +98,13 @@ struct SessionConfig {
   /// sizes, the two-level collective threshold). The platform's node
   /// placement reaches the runtime through makeCostModel(), so
   /// multi-node sessions at scale get hierarchical collectives — and
-  /// BalancedLoop's allreduce-based imbalance test rides them — without
-  /// further configuration.
+  /// BalancedLoop's per-round allgather rides them — without further
+  /// configuration.
   SpmdOptions Spmd;
-  /// Equalization policy for the session's balanced loops (empty Policy
-  /// = disabled; the apps then take their legacy balance() path). When
-  /// left empty and the platform spec carries an `equalize` line,
-  /// create() adopts the spec's configuration.
+  /// Equalization policy for the session's balanced loops. When left
+  /// empty and the platform spec carries an `equalize` line, create()
+  /// adopts the spec's configuration; with neither, makeEqualizer()
+  /// balances every round.
   equalize::EqualizeConfig Equalize;
 };
 
@@ -246,10 +246,12 @@ public:
   BalancedLoop makeBalancedLoop(std::int64_t Total, int NumProcs,
                                 double StalenessDecay = 1.0) const;
 
-  /// Instantiates the session's equalization policy (replicate per rank:
-  /// call once per SPMD rank, or construct rank replicas from the same
-  /// config). Fails when no policy is configured or a knob is out of
-  /// range.
+  /// Instantiates the session's equalization policy — the one place the
+  /// balanced loops' policy is chosen: the configured Equalize policy
+  /// (explicit, or adopted from the platform spec by create()), else
+  /// "every" with period 1. Replicate per rank: call once per SPMD rank.
+  /// Fails only when a knob is out of range, which create() has already
+  /// ruled out.
   Result<std::unique_ptr<equalize::Equalizer>> makeEqualizer() const;
 
   /// --- introspection -----------------------------------------------

@@ -54,8 +54,8 @@ namespace equalize {
 
 /// Full configuration of an equalization policy instance.
 struct EqualizeConfig {
-  /// Registered policy name; empty disables equalization entirely (the
-  /// driving loop falls back to its legacy balancing).
+  /// Registered policy name; empty = not configured (a session then
+  /// balances every round, see engine::Session::makeEqualizer).
   std::string Policy;
   /// Cadence of the "every" policy (1 = every round).
   int Period = 1;

@@ -33,7 +33,7 @@ namespace fupermod {
 /// equalizer registry (the parser only checks ranges).
 struct EqualizeSpec {
   /// Policy name ("off", "every", "threshold", "arbitrated"); empty =
-  /// no `equalize` line (apps keep their legacy per-round balancing).
+  /// no `equalize` line (apps then balance every round).
   std::string Policy;
   /// Trigger when the windowed imbalance exceeds this.
   double TriggerThreshold = 0.25;

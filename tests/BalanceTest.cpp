@@ -11,6 +11,7 @@
 #include "engine/Balance.h"
 
 #include "dist/PartitionedVector.h"
+#include "equalize/Policy.h"
 #include "mpp/Runtime.h"
 
 #include <gtest/gtest.h>
@@ -44,6 +45,13 @@ Partitioner scriptedPartitioner(
   };
 }
 
+/// A replica of the named equalization policy (period 1 for "every").
+std::unique_ptr<equalize::Equalizer> policy(const std::string &Name) {
+  equalize::EqualizeConfig Cfg;
+  Cfg.Policy = Name;
+  return std::move(equalize::makeEqualizer(Cfg).value());
+}
+
 /// Counts redistribute() calls — the duck-typed container stand-in.
 struct MockContainer {
   std::uint64_t Synced = 0;
@@ -70,11 +78,11 @@ TEST(BalancedLoop, EpochTicksOnlyWhenUnitsChange) {
   SpmdResult R = runSpmd(2, [&](Comm &C) {
     BalancedLoop Loop(scriptedPartitioner(Script), "cpm", 10, 2);
     EXPECT_EQ(Loop.distEpoch(), 0u);
-    BalancePolicy Policy; // Threshold 0: the balancer runs every call.
+    auto Every = policy("every"); // The balancer solves every call.
     for (std::size_t It = 0; It < Script.size(); ++It) {
       double Start = C.time();
       C.compute(0.01 * (C.rank() + 1));
-      EXPECT_TRUE(Loop.balance(C, Start, Policy));
+      EXPECT_TRUE(Loop.balanceEqualized(C, Start, *Every));
       if (C.rank() == 0)
         Epochs.push_back(Loop.distEpoch());
     }
@@ -92,12 +100,12 @@ TEST(BalancedLoop, RedistributeIfChangedFiresExactlyOncePerTick) {
   std::vector<std::int64_t> FinalUnits;
   SpmdResult R = runSpmd(2, [&](Comm &C) {
     BalancedLoop Loop(scriptedPartitioner(Script), "cpm", 10, 2);
-    BalancePolicy Policy;
+    auto Every = policy("every");
     MockContainer V;
     for (std::size_t It = 0; It < Script.size(); ++It) {
       double Start = C.time();
       C.compute(0.01 * (C.rank() + 1));
-      Loop.balance(C, Start, Policy);
+      Loop.balanceEqualized(C, Start, *Every);
       bool Fired = Loop.redistributeIfChanged(V);
       // A second call in the same iteration must be a no-op: the
       // container is already synced to the current epoch.
@@ -120,13 +128,12 @@ TEST(BalancedLoop, DisabledPolicyNeverRedistributes) {
   std::vector<std::vector<std::int64_t>> Script = {{7, 3}, {2, 8}};
   SpmdResult R = runSpmd(2, [&](Comm &C) {
     BalancedLoop Loop(scriptedPartitioner(Script), "cpm", 10, 2);
-    BalancePolicy Policy;
-    Policy.Enabled = false;
+    auto Off = policy("off");
     MockContainer V;
     for (int It = 0; It < 4; ++It) {
       double Start = C.time();
       C.compute(0.01);
-      EXPECT_FALSE(Loop.balance(C, Start, Policy));
+      EXPECT_FALSE(Loop.balanceEqualized(C, Start, *Off));
       EXPECT_FALSE(Loop.redistributeIfChanged(V));
     }
     EXPECT_EQ(V.Calls, 0);
@@ -146,11 +153,11 @@ TEST(BalancedLoop, DrivesPartitionedVectorMigration) {
       Out[0] = static_cast<double>(Unit);
       Out[1] = 0.5 * static_cast<double>(Unit);
     });
-    BalancePolicy Policy;
+    auto Every = policy("every");
     for (std::size_t It = 0; It < Script.size(); ++It) {
       double Start = C.time();
       C.compute(0.01 * (C.rank() + 1));
-      Loop.balance(C, Start, Policy);
+      Loop.balanceEqualized(C, Start, *Every);
       Loop.redistributeIfChanged(V);
       for (std::int64_t U = V.start(); U < V.end(); ++U) {
         EXPECT_EQ(V.unit(U)[0], static_cast<double>(U));

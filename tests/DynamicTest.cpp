@@ -4,6 +4,8 @@
 
 #include "core/Metrics.h"
 #include "core/Partitioners.h"
+#include "engine/Balance.h"
+#include "equalize/Policy.h"
 #include "mpp/Runtime.h"
 #include "sim/Cluster.h"
 
@@ -21,6 +23,13 @@ Point makePoint(double Units, double Time) {
   P.Time = Time;
   P.Reps = 1;
   return P;
+}
+
+/// The every-round balancing policy (period 1).
+std::unique_ptr<equalize::Equalizer> everyRound() {
+  equalize::EqualizeConfig Cfg;
+  Cfg.Policy = "every";
+  return std::move(equalize::makeEqualizer(Cfg).value());
 }
 
 } // namespace
@@ -121,21 +130,22 @@ TEST(DynamicPartitioning, PartialModelsStaySmall) {
   EXPECT_GE(PointsUsed, 1u);
 }
 
-TEST(BalanceIterate, UsesIterationTimes) {
+TEST(BalanceStep, UsesIterationTimes) {
   runSpmd(2, [](Comm &C) {
-    DynamicContext Ctx(partitionConstant, "cpm", 100, 2);
+    engine::BalancedLoop Loop(partitionConstant, "cpm", 100, 2);
+    auto Every = everyRound();
     double Start = C.time();
     // Rank 0 computes 1 s, rank 1 computes 4 s on equal shares: rank 0
     // is 4x faster and must end up with ~4x the units.
     C.compute(C.rank() == 0 ? 1.0 : 4.0);
-    balanceIterate(Ctx, C, Start);
-    EXPECT_EQ(Ctx.dist().sum(), 100);
-    EXPECT_EQ(Ctx.dist().Parts[0].Units, 80);
-    EXPECT_EQ(Ctx.dist().Parts[1].Units, 20);
+    Loop.balanceEqualized(C, Start, *Every);
+    EXPECT_EQ(Loop.dist().sum(), 100);
+    EXPECT_EQ(Loop.dist().Parts[0].Units, 80);
+    EXPECT_EQ(Loop.dist().Parts[1].Units, 20);
   });
 }
 
-TEST(BalanceIterate, RepeatedCallsConverge) {
+TEST(BalanceStep, RepeatedCallsConverge) {
   // Constant-speed devices: one balance step is already optimal, further
   // steps must not oscillate.
   Cluster Cl = makeUniformCluster(2, 10.0);
@@ -144,17 +154,19 @@ TEST(BalanceIterate, RepeatedCallsConverge) {
   runSpmd(2,
           [&](Comm &C) {
             SimDevice Dev = Cl.makeDevice(C.rank());
-            DynamicContext Ctx(partitionGeometric, "piecewise", 300, 2);
+            engine::BalancedLoop Loop(partitionGeometric, "piecewise", 300,
+                                      2);
+            auto Every = everyRound();
             for (int It = 0; It < 5; ++It) {
               double Start = C.time();
               double Units = static_cast<double>(
-                  std::max<std::int64_t>(Ctx.dist().Parts[C.rank()].Units,
+                  std::max<std::int64_t>(Loop.dist().Parts[C.rank()].Units,
                                          1));
               C.compute(Dev.measureTime(Units));
-              balanceIterate(Ctx, C, Start);
+              Loop.balanceEqualized(C, Start, *Every);
             }
             // Speeds 10 vs 5 -> 200/100 split.
-            EXPECT_NEAR(static_cast<double>(Ctx.dist().Parts[0].Units),
+            EXPECT_NEAR(static_cast<double>(Loop.dist().Parts[0].Units),
                         200.0, 8.0);
           },
           Cl.makeCostModel());

@@ -12,6 +12,8 @@
 #include "core/Dynamic.h"
 #include "core/Metrics.h"
 #include "core/Partitioners.h"
+#include "engine/Balance.h"
+#include "equalize/Policy.h"
 #include "mpp/Runtime.h"
 #include "sim/Cluster.h"
 
@@ -186,13 +188,17 @@ TEST(GuardedBenchmark, TimeoutAndBackoffChargeBoundedVirtualTime) {
   });
 }
 
-TEST(Exclusion, BalanceIterateDropsFailedRankInLockstep) {
+TEST(Exclusion, BalanceStepDropsFailedRankInLockstep) {
   const std::int64_t Total = 120;
   runSpmd(3, [Total](Comm &C) {
-    DynamicContext Ctx(partitionConstant, "cpm", Total, 3);
+    engine::BalancedLoop Loop(partitionConstant, "cpm", Total, 3);
+    equalize::EqualizeConfig Cfg;
+    Cfg.Policy = "every";
+    auto Every = std::move(equalize::makeEqualizer(Cfg).value());
     double Start = C.time();
     C.compute(1.0);
-    balanceIterate(Ctx, C, Start, /*DeviceFailed=*/C.rank() == 1);
+    Loop.balanceEqualized(C, Start, *Every, /*DeviceFailed=*/C.rank() == 1);
+    const DynamicContext &Ctx = Loop.context();
     // Every rank must agree: rank 1 is gone, survivors carry the total.
     EXPECT_TRUE(Ctx.isExcluded(1));
     EXPECT_FALSE(Ctx.isExcluded(0));
