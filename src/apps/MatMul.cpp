@@ -25,8 +25,16 @@ enum : int {
 std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
   std::vector<double> Block(static_cast<std::size_t>(B) *
                             static_cast<std::size_t>(B));
-  std::uint64_t Seed = 0x9e3779b97f4a7c15ull * static_cast<std::uint64_t>(
-                           (MatId * 1048573 + Row) * 1048573 + Col + 1);
+  // The block key wraps modulo 2^32 and is then sign-extended: the
+  // two's-complement int arithmetic the generated matrices were defined
+  // with, computed without signed overflow.
+  std::uint32_t Key = (static_cast<std::uint32_t>(MatId) * 1048573u +
+                       static_cast<std::uint32_t>(Row)) *
+                          1048573u +
+                      static_cast<std::uint32_t>(Col) + 1u;
+  std::uint64_t Seed = 0x9e3779b97f4a7c15ull *
+                       static_cast<std::uint64_t>(
+                           static_cast<std::int32_t>(Key));
   fillDeterministic(Block, Seed);
   return Block;
 }

@@ -84,6 +84,22 @@ TEST(ParallelMatMul, TwoRankRowSplitCorrect) {
   EXPECT_GT(R.BlocksCommunicated, 0);
 }
 
+TEST(ParallelMatMul, GeneratedMatricesPinnedAtEveryOptimisationLevel) {
+  // The block generator's seed is computed without signed overflow, so
+  // every optimisation level generates the same matrices (an overflowing
+  // seed let -O3 builds diverge from -O2 ones).
+  Cluster Cl = makeUniformCluster(2, 100.0);
+  Cl.NoiseSigma = 0.0;
+  MatMulOptions O;
+  O.NBlocks = 12;
+  O.BlockSize = 8;
+  O.Verify = true;
+  std::vector<GridRect> Rects = {{0, 0, 12, 6, 0}, {0, 6, 12, 6, 1}};
+  MatMulReport R = runParallelMatMul(Cl, Rects, O);
+  EXPECT_LT(R.MaxError, 1e-10);
+  EXPECT_EQ(R.ResultHash, 12197552533110746160ull);
+}
+
 TEST(ParallelMatMul, FourRankGridCorrect) {
   Cluster Cl = makeUniformCluster(4, 100.0);
   Cl.NoiseSigma = 0.0;
