@@ -46,9 +46,32 @@
 #include <thread>
 #include <vector>
 
+#include <unistd.h>
+
 using namespace fupermod;
 
 namespace {
+
+/// The model files' directory, private to this process and removed when
+/// the run ends: concurrent runs (the serial and the concurrent smoke
+/// under a parallel ctest) must never read a file that another run's
+/// churn phase is rewriting.
+struct ModelDir {
+  std::filesystem::path Path;
+  ModelDir() : Path("serve_bench_models." + std::to_string(::getpid())) {
+    std::filesystem::remove_all(Path);
+    std::filesystem::create_directories(Path);
+  }
+  ~ModelDir() {
+    std::error_code Ignored;
+    std::filesystem::remove_all(Path, Ignored);
+  }
+  ModelDir(const ModelDir &) = delete;
+  ModelDir &operator=(const ModelDir &) = delete;
+  std::string file(const std::string &Name) const {
+    return (Path / Name).string();
+  }
+};
 
 double now() {
   return std::chrono::duration<double>(
@@ -117,10 +140,10 @@ int main(int Argc, char **Argv) {
     std::cerr << "error: " << St.error() << "\n";
     return 1;
   }
-  std::filesystem::create_directories("serve_bench_models");
+  ModelDir Dir;
   std::vector<std::string> Paths;
   for (int R = 0; R < Ranks; ++R) {
-    Paths.push_back("serve_bench_models/dev" + std::to_string(R) + ".fpm");
+    Paths.push_back(Dir.file("dev" + std::to_string(R) + ".fpm"));
     if (Status St = BuildS.value()->saveModel(R, Paths.back()); !St) {
       std::cerr << "error: " << St.error() << "\n";
       return 1;
@@ -137,7 +160,7 @@ int main(int Argc, char **Argv) {
     ContentA = SS.str();
   }
   {
-    std::string Alt = "serve_bench_models/dev0_alt.fpm";
+    std::string Alt = Dir.file("dev0_alt.fpm");
     if (Status St = BuildS.value()->saveModel(1 % Ranks, Alt); !St) {
       std::cerr << "error: " << St.error() << "\n";
       return 1;
