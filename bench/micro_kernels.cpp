@@ -8,10 +8,9 @@
 //  - bare invocation: the google-benchmark suite, as before;
 //  - --gflops (or --smoke): a hand-rolled GEMM throughput phase that
 //    pits gemmNaive / gemmBlocked / gemmMicro against each other, checks
-//    the micro-kernel's result against gemmBlocked elementwise under the
-//    a-priori reassociation bound (gemmAbsErrorBound), writes
-//    BENCH_micro_kernels.json, and exits non-zero on a violated bound —
-//    or, in the full run on an AVX2 machine, on a micro-kernel that
+//    that the micro-kernel's result is byte-equal to gemmBlocked's,
+//    writes BENCH_micro_kernels.json, and exits non-zero on a differing
+//    byte — or, in the full run on an AVX2 machine, on a micro-kernel that
 //    fails to reach 2x the blocked kernel's GFLOPS. --smoke shrinks the
 //    sizes and skips the throughput floor (too short to time); it is the
 //    tier-1 tripwire and must pass on portable-only builds too.
@@ -250,26 +249,23 @@ int runGflopsPhase(bool Smoke) {
             << ", micro-kernel isa " << Isa << ") ===\n\n";
 
   std::vector<double> NaiveG, BlockedG, MicroG;
-  bool BoundOk = true;
+  bool Identical = true;
   Table T({"size", "naive(GF)", "blocked(GF)", "micro(GF)", "micro/blocked",
-           "bound_ok"});
+           "identical"});
   for (std::size_t N : Sizes) {
     std::vector<double> A(N * N), B(N * N), C0(N * N);
     fillDeterministic(A, 1);
     fillDeterministic(B, 2);
     fillDeterministic(C0, 3);
 
-    // Correctness first: the micro-kernel result must sit within the
-    // a-priori FP-reassociation bound of the blocked kernel, element by
-    // element (both start from the same C0 so accumulation is included).
-    std::vector<double> Cb = C0, Cm = C0, Bound(N * N);
+    // Correctness first: the micro-kernel result must be byte-equal to
+    // the blocked kernel's (both start from the same C0 so accumulation
+    // is included).
+    std::vector<double> Cb = C0, Cm = C0;
     gemmBlocked(N, N, N, A, B, Cb);
     gemmMicro(N, N, N, A, B, Cm);
-    gemmAbsErrorBound(N, N, N, A, B, C0, Bound);
-    bool Ok = true;
-    for (std::size_t I = 0; I < N * N; ++I)
-      Ok = Ok && std::abs(Cb[I] - Cm[I]) <= Bound[I];
-    BoundOk = BoundOk && Ok;
+    bool Ok = std::memcmp(Cb.data(), Cm.data(), N * N * sizeof(double)) == 0;
+    Identical = Identical && Ok;
 
     double Flops = gemmFlops(N, N, N);
     std::vector<double> C(N * N, 0.0);
@@ -294,8 +290,8 @@ int runGflopsPhase(bool Smoke) {
   double SpeedupVsNaive = MicroG.back() / NaiveG.back();
   std::cout << "\nmicro-kernel at " << Sizes.back()
             << ": " << SpeedupVsBlocked << "x blocked, " << SpeedupVsNaive
-            << "x naive, error bound " << (BoundOk ? "held" : "VIOLATED")
-            << "\n";
+            << "x naive, results "
+            << (Identical ? "bit-identical" : "DIVERGED") << "\n";
 
   std::FILE *J = std::fopen("BENCH_micro_kernels.json", "w");
   if (J) {
@@ -325,22 +321,22 @@ int runGflopsPhase(bool Smoke) {
                  "  },\n"
                  "  \"speedup_micro_vs_blocked\": %.3f,\n"
                  "  \"speedup_micro_vs_naive\": %.3f,\n"
-                 "  \"error_bound_ok\": %s\n"
+                 "  \"bit_identical\": %s\n"
                  "}\n",
                  Smoke ? "smoke" : "full", Isa, SizesS.c_str(),
                  List(NaiveG).c_str(), List(BlockedG).c_str(),
                  List(MicroG).c_str(), SpeedupVsBlocked, SpeedupVsNaive,
-                 BoundOk ? "true" : "false");
+                 Identical ? "true" : "false");
     std::fclose(J);
     std::cout << "# wrote BENCH_micro_kernels.json\n";
   }
 
-  // Tripwires. The bound gates both modes and both ISAs; the throughput
-  // floor gates only the full run with the AVX2 tile compiled in and
-  // selected (the portable tile promises correctness, not 2x, and smoke
-  // timings are too short to trust).
-  if (!BoundOk) {
-    std::cout << "FAIL: micro-kernel exceeded the reassociation bound\n";
+  // Tripwires. Bit-identity gates both modes and both ISAs; the
+  // throughput floor gates only the full run with the AVX2 tile selected
+  // (the portable tile promises correctness, not 2x, and smoke timings
+  // are too short to trust).
+  if (!Identical) {
+    std::cout << "FAIL: micro-kernel result differs from gemmBlocked\n";
     return 1;
   }
   if (!Smoke && gemmMicroIsa() == GemmIsa::Avx2 && SpeedupVsBlocked < 2.0) {

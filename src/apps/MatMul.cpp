@@ -252,11 +252,12 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     // Compute phase of one step: pack the fragments into contiguous
     // operands and run one GEMM for the whole rectangle,
     //   CRect (H*B x W*B) += APack (H*B x B) * BPack (B x W*B).
-    // Every C element still accumulates over the same l = 0..B-1 in
-    // ascending order, so the result is bit-identical to per-block
-    // updates — and identical across the serial, blocked, and row-banded
-    // parallel kernels. Virtual cost comes from the device profile,
-    // scaled by the modelled multithreaded-GEMM speedup.
+    // The GEMM is the register-blocked micro-kernel, row-banded over the
+    // pool when there is one. Every C element still accumulates over the
+    // same l = 0..B-1 in ascending order, so the result is bit-identical
+    // to per-block updates — and to the gemmBlocked reference Verify
+    // checks against. Virtual cost comes from the device profile, scaled
+    // by the modelled multithreaded-GEMM speedup.
     auto ComputeStep = [&](StepBuffers &Buf) {
       if (H == 0 || W == 0)
         return;
@@ -271,10 +272,9 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
                       static_cast<std::size_t>(B) * sizeof(double));
       if (Pool)
         gemmParallel(HB, WB, static_cast<std::size_t>(B), APack, BPack,
-                     CRect, *Pool);
+                     CRect, *Pool, /*Tile=*/64, /*UseMicro=*/true);
       else
-        gemmBlocked(HB, WB, static_cast<std::size_t>(B), APack, BPack,
-                    CRect);
+        gemmMicro(HB, WB, static_cast<std::size_t>(B), APack, BPack, CRect);
       double T =
           Dev.measureTime(static_cast<double>(R.area())) / ThreadSpeedup;
       C.compute(T);

@@ -10,7 +10,8 @@
 /// partitioned over processes as 2D rectangles; at iteration k the pivot
 /// block column of A and pivot block row of B are communicated to the
 /// processes whose rectangles intersect them, and every process updates
-/// its C rectangle with one packed GEMM.
+/// its C rectangle with one packed GEMM on the register-blocked
+/// micro-kernel (gemmMicro), bit-identical to the gemmBlocked reference.
 ///
 /// The computation is performed for real (block GEMMs on real data, so
 /// the result can be verified against a serial product), while per-rank
@@ -24,8 +25,9 @@
 ///  - Overlap: step k+1's pivots are sent and their receives posted
 ///    before step k's GEMM, so the transfer hides behind compute
 ///    (double-buffered pipeline on nonblocking receives);
-///  - Threads: the per-step GEMM runs as gemmParallel row bands, with
-///    virtual compute time scaled by the modelled thread speedup.
+///  - Threads: the per-step micro-kernel GEMM runs as gemmParallel row
+///    bands (each band a gemmMicro call), with virtual compute time
+///    scaled by the modelled thread speedup.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -53,8 +55,8 @@ struct MatMulOptions {
   bool ZeroCopy = true;
   /// Prefetch step k+1's pivots (irecv) while step k's GEMM runs.
   bool Overlap = false;
-  /// GEMM threads per rank (> 1 uses gemmParallel and scales the charged
-  /// compute time by gemmThreadSpeedup).
+  /// GEMM threads per rank (> 1 runs the micro-kernel as gemmParallel
+  /// row bands and scales the charged compute time by gemmThreadSpeedup).
   unsigned Threads = 1;
 };
 

@@ -1,23 +1,21 @@
 //===-- blas/Gemm.cpp - Dense matrix multiply kernels ---------------------===//
 
 #include "blas/Gemm.h"
+#include "blas/MicroKernel.h"
 
 #include "support/Random.h"
 #include "support/ThreadPool.h"
 
 #include <algorithm>
 #include <cassert>
-#include <cfloat>
 #include <cmath>
 #include <future>
 #include <vector>
 
-// The AVX2/FMA tile is only compiled when the build opted in
-// (FUPERMOD_NATIVE) on an x86 compiler that supports per-function target
-// attributes; the TU itself stays baseline, and the tile is only ever
-// *called* after a CPUID check.
-#if defined(FUPERMOD_NATIVE) &&                                               \
-    (defined(__x86_64__) || defined(__i386__)) &&                             \
+// The AVX2 tile is compiled on every x86 compiler that supports
+// per-function target attributes; the TU itself stays baseline, and the
+// tile is only ever *called* after a CPUID check.
+#if (defined(__x86_64__) || defined(__i386__)) &&                             \
     (defined(__GNUC__) || defined(__clang__))
 #define FUPERMOD_HAVE_AVX2_TILE 1
 #include <immintrin.h>
@@ -79,20 +77,18 @@ void fupermod::gemmBlocked(std::size_t M, std::size_t N, std::size_t K,
 namespace {
 
 /// Register-tile shape: MR rows of C held as NR-wide accumulators. With
-/// AVX2 that is 4 x 2 ymm accumulators plus 2 B vectors and 1 A
-/// broadcast — 11 of 16 vector registers.
+/// AVX2 that is 4 x 2 ymm accumulators plus 2 B vectors, 1 A broadcast
+/// and 1 product — 12 of 16 vector registers.
 constexpr std::size_t MR = 4;
 constexpr std::size_t NR = 8;
 /// K-strip depth: one packed B panel (KC x NR = 16 KiB) stays L1-resident
 /// while every row block of A streams over it.
 constexpr std::size_t KC = 256;
 
-/// One register tile: C (MR x NR, row stride Ldc) += A (MR rows at row
-/// stride Lda, depth Kb) * Bp (packed Kb x NR panel). Per C element the
-/// products are accumulated over l ascending, exactly like gemmBlocked —
-/// only the multiply-add fusion/vectorization differs.
-using TileFn = void (*)(std::size_t Kb, const double *A, std::size_t Lda,
-                        const double *Bp, double *C, std::size_t Ldc);
+// Both tile bodies accumulate each C element over l ascending with the
+// product and the sum rounded separately, exactly like gemmBlocked, so
+// every tile is bit-identical to it. The library is built with
+// -ffp-contract=off so the compiler never fuses them either.
 
 void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
                   const double *Bp, double *C, std::size_t Ldc) {
@@ -115,10 +111,14 @@ void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
 }
 
 #if FUPERMOD_HAVE_AVX2_TILE
-__attribute__((target("avx2,fma"))) void
+// Target "avx2" without "fma": the multiply and the add stay two
+// instructions, two roundings. The row loops are unrolled so the eight
+// accumulators live in registers at -O2 too, not on the stack.
+__attribute__((target("avx2"))) void
 tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
          double *C, std::size_t Ldc) {
   __m256d Acc[MR][2];
+#pragma GCC unroll 4
   for (std::size_t R = 0; R < MR; ++R) {
     Acc[R][0] = _mm256_loadu_pd(C + R * Ldc);
     Acc[R][1] = _mm256_loadu_pd(C + R * Ldc + 4);
@@ -126,12 +126,14 @@ tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
   for (std::size_t L = 0; L < Kb; ++L) {
     __m256d B0 = _mm256_loadu_pd(Bp + L * NR);
     __m256d B1 = _mm256_loadu_pd(Bp + L * NR + 4);
+#pragma GCC unroll 4
     for (std::size_t R = 0; R < MR; ++R) {
       __m256d AR = _mm256_broadcast_sd(A + R * Lda + L);
-      Acc[R][0] = _mm256_fmadd_pd(AR, B0, Acc[R][0]);
-      Acc[R][1] = _mm256_fmadd_pd(AR, B1, Acc[R][1]);
+      Acc[R][0] = _mm256_add_pd(Acc[R][0], _mm256_mul_pd(AR, B0));
+      Acc[R][1] = _mm256_add_pd(Acc[R][1], _mm256_mul_pd(AR, B1));
     }
   }
+#pragma GCC unroll 4
   for (std::size_t R = 0; R < MR; ++R) {
     _mm256_storeu_pd(C + R * Ldc, Acc[R][0]);
     _mm256_storeu_pd(C + R * Ldc + 4, Acc[R][1]);
@@ -140,21 +142,10 @@ tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
 #endif
 
 /// CPUID dispatch, decided once per process.
-TileFn resolveTile(GemmIsa &Isa) {
-#if FUPERMOD_HAVE_AVX2_TILE
-  if (__builtin_cpu_supports("avx2") && __builtin_cpu_supports("fma")) {
-    Isa = GemmIsa::Avx2;
-    return tileAvx2;
-  }
-#endif
-  Isa = GemmIsa::Portable;
-  return tilePortable;
-}
-
 struct MicroDispatch {
-  GemmIsa Isa = GemmIsa::Portable;
-  TileFn Tile = nullptr;
-  MicroDispatch() { Tile = resolveTile(Isa); }
+  GemmIsa Isa = gemmMicroTile(GemmIsa::Avx2) ? GemmIsa::Avx2
+                                              : GemmIsa::Portable;
+  GemmTileFn Tile = gemmMicroTile(Isa);
 };
 
 const MicroDispatch &microDispatch() {
@@ -183,6 +174,16 @@ void microEdge(std::size_t I0, std::size_t IMax, std::size_t J0,
 
 } // namespace
 
+GemmTileFn fupermod::gemmMicroTile(GemmIsa Isa) {
+  if (Isa == GemmIsa::Portable)
+    return tilePortable;
+#if FUPERMOD_HAVE_AVX2_TILE
+  if (__builtin_cpu_supports("avx2"))
+    return tileAvx2;
+#endif
+  return nullptr;
+}
+
 GemmIsa fupermod::gemmMicroIsa() { return microDispatch().Isa; }
 
 const char *fupermod::gemmIsaName(GemmIsa Isa) {
@@ -192,9 +193,16 @@ const char *fupermod::gemmIsaName(GemmIsa Isa) {
 void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
                          std::span<const double> A, std::span<const double> B,
                          std::span<double> C) {
+  gemmMicroWithTile(microDispatch().Tile, M, N, K, A, B, C);
+}
+
+void fupermod::gemmMicroWithTile(GemmTileFn Tile, std::size_t M,
+                                 std::size_t N, std::size_t K,
+                                 std::span<const double> A,
+                                 std::span<const double> B,
+                                 std::span<double> C) {
   assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
          "matrix buffers too small");
-  TileFn Tile = microDispatch().Tile;
   const std::size_t MFull = M - M % MR;
   const std::size_t NPanels = N / NR;
   const std::size_t NFull = NPanels * NR;
@@ -202,10 +210,13 @@ void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
   // Panel-packed copy of one K strip of B: panel p holds columns
   // [p*NR, (p+1)*NR) as a contiguous Kb x NR block, so the tile streams
   // it with unit stride. Thread-local so repeated calls (and the
-  // per-band calls of gemmParallel) reuse the allocation.
+  // per-band calls of gemmParallel) reuse the allocation. Sized to the
+  // deepest strip this call packs, so a shallow K (the matmul app's K is
+  // one block edge) does not allocate and zero-fill a full KC strip.
   static thread_local std::vector<double> Packed;
-  if (Packed.size() < KC * NFull)
-    Packed.resize(KC * NFull);
+  const std::size_t PackedSize = std::min(K, KC) * NFull;
+  if (Packed.size() < PackedSize)
+    Packed.resize(PackedSize);
 
   for (std::size_t L0 = 0; L0 < K; L0 += KC) {
     const std::size_t Kb = std::min(KC, K - L0);
@@ -229,23 +240,6 @@ void fupermod::gemmMicro(std::size_t M, std::size_t N, std::size_t K,
   }
 }
 
-void fupermod::gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
-                                 std::span<const double> A,
-                                 std::span<const double> B,
-                                 std::span<const double> C0,
-                                 std::span<double> Bound) {
-  assert(Bound.size() >= M * N && "bound buffer too small");
-  for (std::size_t I = 0; I < M; ++I)
-    for (std::size_t J = 0; J < N; ++J) {
-      long double Mag = std::fabs(C0[I * N + J]);
-      for (std::size_t L = 0; L < K; ++L)
-        Mag += std::fabs(static_cast<long double>(A[I * K + L]) *
-                         B[L * N + J]);
-      Bound[I * N + J] = 2.0 * static_cast<double>(K + 1) * DBL_EPSILON *
-                         static_cast<double>(Mag);
-    }
-}
-
 void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
                             std::span<const double> A,
                             std::span<const double> B, std::span<double> C,
@@ -255,9 +249,9 @@ void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
          "matrix buffers too small");
   assert(Tile > 0 && "tile must be positive");
   // The band kernel: either the cache-tiled scalar GEMM or the dispatched
-  // micro-kernel. Both compute every C element with a fixed per-element
+  // micro-kernel. Both compute every C element in the same per-element
   // accumulation order, so the banded result is bit-identical to one
-  // serial call of the same kernel.
+  // serial call of either kernel.
   auto Band = [&](std::size_t Rows, std::span<const double> ABand,
                   std::span<double> CBand) {
     if (UseMicro)

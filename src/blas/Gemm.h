@@ -13,24 +13,19 @@
 ///    reference Netlib BLAS whose speed function Fig. 2 plots;
 ///  - gemmBlocked: cache-tiled variant, the stand-in for an optimised BLAS;
 ///  - gemmMicro: register-blocked micro-kernel (packed B panels, 4x8
-///    register tiles) dispatched at runtime between an AVX2/FMA
-///    implementation (compiled under FUPERMOD_NATIVE) and a portable
-///    `#pragma omp simd` tile — the stand-in for a tuned vendor BLAS;
+///    register tiles) dispatched at runtime by CPUID between an AVX2
+///    implementation and a portable `#pragma omp simd` tile — the
+///    stand-in for a tuned vendor BLAS;
 ///  - gemmParallel: gemmBlocked (or gemmMicro) over horizontal row bands
 ///    on a ThreadPool, the stand-in for a multithreaded BLAS.
 ///
 /// All matrices are row-major and contiguous: C (MxN) += A (MxK) * B (KxN).
-/// gemmNaive, gemmBlocked and the gemmBlocked-based gemmParallel
-/// accumulate each C element over l = 0..K-1 in ascending order with
-/// separate multiply and add roundings, so for identical inputs they
-/// produce bit-identical results (tiling and row-band decomposition only
-/// reorder *independent* elements). gemmMicro keeps the ascending-l
-/// per-element order but fuses multiply-add (FMA) and lets the compiler
-/// vectorize, so its result differs from gemmBlocked by at most the
-/// classic dot-product rounding bound — see gemmAbsErrorBound() and the
-/// GemmMicroTest error-bound test. Banding in gemmParallel never changes
-/// per-element order, so the micro-banded path is bit-identical to a
-/// serial gemmMicro call.
+/// Every kernel accumulates each C element over l = 0..K-1 in ascending
+/// order with separate multiply and add roundings (the library is built
+/// with -ffp-contract=off, and the AVX2 tile uses no FMA), so for
+/// identical inputs all of them produce bit-identical results on every
+/// ISA: tiling, register blocking, vectorization across columns and
+/// row-band decomposition only reorder *independent* elements.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -59,11 +54,9 @@ void gemmBlocked(std::size_t M, std::size_t N, std::size_t K,
 /// contiguous K-strip panels of 8 columns, and 4x8 tiles of C are held in
 /// registers across the whole K strip (one load/store of C per strip
 /// instead of one per multiply). The tile body is chosen once per process
-/// by CPUID dispatch: AVX2/FMA intrinsics when the binary was built with
-/// FUPERMOD_NATIVE and the CPU supports them, else a portable
-/// `#pragma omp simd` tile. Deterministic for fixed inputs on a fixed
-/// machine; differs from gemmBlocked only by FMA/vectorization
-/// reassociation, bounded by gemmAbsErrorBound().
+/// by CPUID dispatch: AVX2 intrinsics when the CPU supports them, else a
+/// portable `#pragma omp simd` tile. Bit-identical to gemmBlocked
+/// whichever tile runs.
 void gemmMicro(std::size_t M, std::size_t N, std::size_t K,
                std::span<const double> A, std::span<const double> B,
                std::span<double> C);
@@ -80,23 +73,13 @@ const char *gemmIsaName(GemmIsa Isa);
 /// \p Pool (plus the calling thread's share). Each band runs gemmBlocked
 /// — or gemmMicro when \p UseMicro — with the same tiling, and bands
 /// write disjoint rows of C and never change any element's accumulation
-/// order, so the result is bit-identical to a single serial call of the
-/// selected kernel. Falls back to the serial kernel when the pool has
-/// one worker or M is a single band.
+/// order, so the result is bit-identical to a single serial call of
+/// gemmBlocked or gemmMicro. Falls back to the serial kernel when the
+/// pool has one worker or M is a single band.
 void gemmParallel(std::size_t M, std::size_t N, std::size_t K,
                   std::span<const double> A, std::span<const double> B,
                   std::span<double> C, ThreadPool &Pool,
                   std::size_t Tile = 64, bool UseMicro = false);
-
-/// Elementwise a-priori bound on |gemmMicro - gemmBlocked| for C[i][j]:
-/// both kernels accumulate the same K products (plus the C input), each
-/// with at most one rounding of eps per operation, so the results differ
-/// by at most 2 * (K + 1) * eps * (|C0[i][j]| + sum_l |A[i][l]*B[l][j]|).
-/// The magnitude sum is accumulated here in long double. O(M*N*K) — a
-/// test utility, not a kernel.
-void gemmAbsErrorBound(std::size_t M, std::size_t N, std::size_t K,
-                       std::span<const double> A, std::span<const double> B,
-                       std::span<const double> C0, std::span<double> Bound);
 
 /// Modelled speedup of gemmParallel with \p Threads workers: Amdahl's law
 /// with a small serial fraction covering band fork/join and the shared

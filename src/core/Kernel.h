@@ -59,9 +59,8 @@ struct KernelConfig {
   /// Cache-tiled GEMM (optimised BLAS stand-in) over the naive one.
   bool UseBlockedGemm = true;
   /// Register-blocked, runtime-ISA-dispatched micro-kernel (tuned vendor
-  /// BLAS stand-in); takes precedence over UseBlockedGemm. Results stay
-  /// within the documented reassociation error bound of the blocked
-  /// kernel (see blas/Gemm.h), but are not bit-identical to it.
+  /// BLAS stand-in); takes precedence over UseBlockedGemm. Results are
+  /// bit-identical to the blocked kernel's (see blas/Gemm.h).
   bool UseMicroGemm = false;
   /// Intra-kernel threads (> 1 selects the multithreaded BLAS stand-in).
   unsigned Threads = 1;

@@ -174,8 +174,9 @@ void Model::refitRange(double ChangedUnits) {
 void Model::setWeights(std::span<const double> NewWeights) {
   assert(NewWeights.size() == Points.size() &&
          "one weight per stored point expected");
-  for (double W : NewWeights)
-    assert(W > 0.0 && "weights must be positive");
+  assert(std::all_of(NewWeights.begin(), NewWeights.end(),
+                     [](double W) { return W > 0.0; }) &&
+         "weights must be positive");
   Weights.assign(NewWeights.begin(), NewWeights.end());
 }
 

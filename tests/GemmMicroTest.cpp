@@ -1,23 +1,24 @@
 //===-- tests/GemmMicroTest.cpp - register-blocked micro-kernel tests -----===//
 //
-// The micro-kernel's contract (blas/Gemm.h): gemmMicro differs from
-// gemmBlocked only by FMA/vectorization reassociation, elementwise within
-// gemmAbsErrorBound(); banding in gemmParallel never changes per-element
-// accumulation order, so the parallel micro path is bit-identical to a
-// serial gemmMicro call; and the ISA is resolved once per process by
-// CPUID dispatch — whichever tile body runs, the bound holds.
+// The micro-kernel's contract (blas/Gemm.h): gemmMicro is bit-identical
+// to gemmBlocked whichever tile body runs — each product and each sum is
+// rounded separately, in the same ascending-l order per element; banding
+// in gemmParallel never changes that order, so the parallel micro path is
+// bit-identical too; and the ISA is resolved once per process by CPUID
+// dispatch.
 //
 //===----------------------------------------------------------------------===//
 
 #include "blas/Gemm.h"
+#include "blas/MicroKernel.h"
 
 #include "core/GemmKernel.h"
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
-#include <cmath>
 #include <cstddef>
+#include <cstring>
 #include <vector>
 
 using namespace fupermod;
@@ -28,52 +29,56 @@ struct Shape {
   std::size_t M, N, K;
 };
 
-/// Runs gemmBlocked and gemmMicro from the same inputs and returns the
-/// elementwise error bound alongside both results.
-struct KernelPair {
-  std::vector<double> Blocked, Micro, Bound;
-};
-
-KernelPair runPair(Shape S, std::uint64_t Seed) {
-  std::vector<double> A(S.M * S.K), B(S.K * S.N), C0(S.M * S.N);
-  fillDeterministic(A, Seed);
-  fillDeterministic(B, Seed + 1);
-  fillDeterministic(C0, Seed + 2);
-
-  KernelPair R;
-  R.Blocked = C0;
-  R.Micro = C0;
-  R.Bound.resize(S.M * S.N);
-  gemmBlocked(S.M, S.N, S.K, A, B, R.Blocked);
-  gemmMicro(S.M, S.N, S.K, A, B, R.Micro);
-  gemmAbsErrorBound(S.M, S.N, S.K, A, B, C0, R.Bound);
-  return R;
+bool bytesEqual(const std::vector<double> &X, const std::vector<double> &Y) {
+  return X.size() == Y.size() &&
+         std::memcmp(X.data(), Y.data(), X.size() * sizeof(double)) == 0;
 }
 
 } // namespace
 
-TEST(GemmMicro, WithinErrorBoundOfBlocked) {
+TEST(GemmMicro, BitIdenticalToBlocked) {
   // Edge shapes on purpose: remainder rows (M % 4 != 0), remainder
-  // columns (N % 8 != 0), K = 1 (a single fused multiply-add per
-  // element), and a tile-aligned square for the fast path.
+  // columns (N % 8 != 0), K = 1, a tile-aligned square for the fast
+  // path, and K > 256, whose two K strips store and reload C in between.
   const Shape Shapes[] = {
-      {17, 23, 31}, {4, 8, 1}, {5, 9, 7}, {64, 64, 64}, {33, 40, 5},
-      {1, 1, 1},    {3, 70, 2},
+      {17, 23, 31}, {4, 8, 1}, {5, 9, 7}, {64, 64, 64},
+      {33, 40, 5},  {1, 1, 1}, {3, 70, 2}, {13, 21, 300},
   };
+  ASSERT_NE(gemmMicroTile(GemmIsa::Portable), nullptr);
+
   std::uint64_t Seed = 0x5eed;
   for (Shape S : Shapes) {
-    KernelPair R = runPair(S, Seed++);
-    for (std::size_t I = 0; I < S.M * S.N; ++I)
-      ASSERT_LE(std::abs(R.Blocked[I] - R.Micro[I]), R.Bound[I])
-          << "element " << I << " of " << S.M << "x" << S.N << "x" << S.K
-          << " exceeds the reassociation bound";
+    std::vector<double> A(S.M * S.K), B(S.K * S.N), C0(S.M * S.N);
+    fillDeterministic(A, Seed);
+    fillDeterministic(B, Seed + 1);
+    fillDeterministic(C0, Seed + 2);
+    ++Seed;
+    std::vector<double> Blocked = C0;
+    gemmBlocked(S.M, S.N, S.K, A, B, Blocked);
+
+    std::vector<double> Dispatched = C0;
+    gemmMicro(S.M, S.N, S.K, A, B, Dispatched);
+    EXPECT_TRUE(bytesEqual(Dispatched, Blocked))
+        << "gemmMicro (" << gemmIsaName(gemmMicroIsa()) << ") on " << S.M
+        << "x" << S.N << "x" << S.K;
+    // Every tile body this host can run, not only the dispatched one.
+    for (GemmIsa Isa : {GemmIsa::Portable, GemmIsa::Avx2}) {
+      GemmTileFn Tile = gemmMicroTile(Isa);
+      if (!Tile)
+        continue;
+      std::vector<double> Micro = C0;
+      gemmMicroWithTile(Tile, S.M, S.N, S.K, A, B, Micro);
+      EXPECT_TRUE(bytesEqual(Micro, Blocked))
+          << gemmIsaName(Isa) << " tile on " << S.M << "x" << S.N << "x"
+          << S.K;
+    }
   }
 }
 
 TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {
   // Row bands write disjoint rows and never reorder any element's
   // accumulation, so the pooled micro path must match serial gemmMicro
-  // exactly — not just within the bound.
+  // exactly.
   const std::size_t M = 61, N = 40, K = 33;
   std::vector<double> A(M * K), B(K * N), C0(M * N);
   fillDeterministic(A, 7);
@@ -90,8 +95,10 @@ TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {
 TEST(GemmMicro, DispatchReportsAResolvedIsa) {
   GemmIsa Isa = gemmMicroIsa();
   EXPECT_TRUE(Isa == GemmIsa::Portable || Isa == GemmIsa::Avx2);
-  // The resolution is per-process and stable.
+  // The resolution is per-process and stable, and it picks the AVX2 tile
+  // exactly when this host can run it.
   EXPECT_EQ(gemmMicroIsa(), Isa);
+  EXPECT_EQ(Isa == GemmIsa::Avx2, gemmMicroTile(GemmIsa::Avx2) != nullptr);
   EXPECT_STREQ(gemmIsaName(GemmIsa::Portable), "portable");
   EXPECT_STREQ(gemmIsaName(GemmIsa::Avx2), "avx2");
 }

@@ -98,6 +98,21 @@ TEST(ParallelMatMul, GeneratedMatricesPinnedAtEveryOptimisationLevel) {
   MatMulReport R = runParallelMatMul(Cl, Rects, O);
   EXPECT_LT(R.MaxError, 1e-10);
   EXPECT_EQ(R.ResultHash, 12197552533110746160ull);
+
+  // Rectangles of 72, 30 and 42 rows by 42, 30 and 30 columns: 30 and 42
+  // are multiples of neither the micro-kernel's 4-row nor its 8-column
+  // tile, so its edge paths run inside the app, serial and row-banded.
+  Cluster Cl3 = makeUniformCluster(3, 100.0);
+  Cl3.NoiseSigma = 0.0;
+  O.BlockSize = 6;
+  std::vector<GridRect> Edges = {
+      {0, 0, 7, 12, 0}, {7, 0, 5, 5, 1}, {7, 5, 5, 7, 2}};
+  for (unsigned Threads : {1u, 3u}) {
+    O.Threads = Threads;
+    MatMulReport E = runParallelMatMul(Cl3, Edges, O);
+    EXPECT_EQ(E.MaxError, 0.0) << "Threads " << Threads;
+    EXPECT_EQ(E.ResultHash, 18019093800363692879ull) << "Threads " << Threads;
+  }
 }
 
 TEST(ParallelMatMul, FourRankGridCorrect) {

@@ -16,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <numeric>
 #include <vector>
 
 using namespace fupermod;
@@ -223,6 +224,10 @@ TEST(PartitionedVectorStress, OverlappedHalosUnderRepartitionChurn) {
       {5, 5, 5, 5, 4}, {1, 9, 0, 10, 4}, {0, 0, 24, 0, 0},
       {8, 1, 6, 1, 8}, {24, 0, 0, 0, 0}, {4, 5, 6, 5, 4},
   };
+  // Every partition covers the same N-unit domain.
+  for (const std::vector<std::int64_t> &Units : Schedule)
+    ASSERT_EQ(std::accumulate(Units.begin(), Units.end(), std::int64_t{0}),
+              N);
   SpmdResult R = runSpmd(P, [&](Comm &C) {
     PartitionedVector<double> V(C, distOf(Schedule.front()), EPU);
     fillUnits(V);

@@ -21,8 +21,8 @@
 //   --threads T            GEMM threads per measurement (native source:
 //                          models the device as a T-thread processor)
 //   --micro                use the register-blocked micro-kernel (tuned
-//                          vendor BLAS stand-in; AVX2/FMA when compiled
-//                          with FUPERMOD_NATIVE and supported by the CPU)
+//                          vendor BLAS stand-in; its AVX2 tile when the
+//                          CPU supports AVX2)
 //   --source two-device|hcl|hcl-nogpu
 //                          sample the simulated device --rank R
 //   --rank all             build every rank's model in one run; outputs
