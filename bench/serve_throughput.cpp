@@ -12,11 +12,16 @@
 //     exactly one response.
 //  3. churn: open-loop overload with hot-reload churn — a background
 //     thread rewrites a model file and reloads it while hundreds of
-//     requests (a mix of popular totals that coalesce/cache and unique
-//     totals that keep the workers busy) flood a small queue with a
-//     deadline. Reports p50/p99 latency, shed rate, and coalesce+cache
-//     hit rates, and checks the exactly-once accounting: submitted ==
+//     requests (a mix of popular totals that the session's memo replays
+//     and unique totals that keep the workers busy) flood a small queue
+//     with a deadline. Reports p50/p99 latency, shed rate and the memo
+//     replay rate, and checks the exactly-once accounting: submitted ==
 //     answered + errors + shed, with zero errors and zero lost futures.
+//
+// The JSON's cache_hits / cache_lookups / cache_hit_rate count memo
+// replays: the replies Session::partitionRendered returned Memoized, out
+// of the requests the server passed to it (ServerStats::CacheHits and
+// CacheLookups).
 //
 // Output: a summary on stdout and BENCH_serve_throughput.json in the
 // working directory. With --smoke, runs tiny batches and only the
@@ -219,7 +224,7 @@ int main(int Argc, char **Argv) {
   if (!ConcS)
     return 1;
   std::string ConcurrentOut;
-  std::uint64_t ConcurrentCacheHits = 0, ConcurrentCoalesced = 0;
+  std::uint64_t ConcurrentMemoReplays = 0;
   double ConcurrentSeconds = 0.0;
   int ConcurrentAnswered = 0;
   {
@@ -244,14 +249,12 @@ int main(int Argc, char **Argv) {
       }
     }
     ConcurrentSeconds = now() - T0;
-    engine::ServerStats St = Srv.stats();
-    ConcurrentCacheHits = St.CacheHits;
-    ConcurrentCoalesced = St.Coalesced;
+    ConcurrentMemoReplays = Srv.stats().CacheHits;
   }
 
   // --- 3. churn: overload a small queue under hot-reload churn. Half
-  // the requests hit popular totals (coalesce/cache food), half are
-  // unique (keep the workers and the queue busy).
+  // the requests hit popular totals (memo replays), half are unique
+  // (keep the workers and the queue busy).
   const int ChurnRequests = Smoke ? 64 : 512;
   const int ChurnFlips = Smoke ? 6 : 24;
   std::unique_ptr<engine::Session> ChurnS = makeLoadedSession(Paths);
@@ -293,8 +296,8 @@ int main(int Argc, char **Argv) {
       Futures.push_back(Srv.submit(std::move(Req)));
       // Open-loop pacing: bursts of 4 arriving faster than the workers
       // drain (the SolveDelay above caps service rate), so the queue
-      // oscillates around full — some requests shed, duplicates of the
-      // popular totals meet in flight and coalesce or hit the cache.
+      // oscillates around full — some requests shed, and repeats of the
+      // popular totals replay the session's memo.
       if (I % 4 == 3)
         std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -365,23 +368,21 @@ int main(int Argc, char **Argv) {
   std::printf("one-shot:   %d requests in %.4f s  (%.0f req/s)\n",
               NumRequests, OneShotSeconds, OneShotRps);
   std::printf("concurrent: %d requests in %.4f s  (%.0f req/s), "
-              "%llu coalesced, %llu cache hits, outputs %s\n",
+              "%llu memo replays, outputs %s\n",
               NumRequests, ConcurrentSeconds, ConcurrentRps,
-              static_cast<unsigned long long>(ConcurrentCoalesced),
-              static_cast<unsigned long long>(ConcurrentCacheHits),
+              static_cast<unsigned long long>(ConcurrentMemoReplays),
               ConcurrentIdentical ? "byte-identical" : "DIVERGED");
   std::printf("speedup:    %.1fx serial over one-shot, outputs %s\n",
               Speedup, Identical ? "byte-identical" : "DIVERGED");
   std::printf("churn:      %d requests in %.4f s under %llu reload(s): "
               "p50 %.2f ms, p99 %.2f ms, shed %.1f%% "
-              "(queue_full %llu, deadline %llu), %llu coalesced, "
-              "cache hit rate %.1f%%, accounting %s\n",
+              "(queue_full %llu, deadline %llu), "
+              "memo replay rate %.1f%%, accounting %s\n",
               ChurnRequests, ChurnSeconds,
               static_cast<unsigned long long>(ChurnReloads), P50, P99,
               100.0 * ShedRate,
               static_cast<unsigned long long>(ChurnStats.ShedQueueFull),
               static_cast<unsigned long long>(ChurnStats.ShedDeadline),
-              static_cast<unsigned long long>(ChurnStats.Coalesced),
               100.0 * CacheHitRate, ChurnAccounted ? "exact" : "BROKEN");
 
   std::FILE *J = std::fopen("BENCH_serve_throughput.json", "w");
@@ -411,7 +412,6 @@ int main(int Argc, char **Argv) {
                  "    \"shed_rate\": %.4f,\n"
                  "    \"shed_queue_full\": %llu,\n"
                  "    \"shed_deadline\": %llu,\n"
-                 "    \"coalesced\": %llu,\n"
                  "    \"cache_hits\": %llu,\n"
                  "    \"cache_lookups\": %llu,\n"
                  "    \"cache_hit_rate\": %.4f,\n"
@@ -427,7 +427,6 @@ int main(int Argc, char **Argv) {
                  ShedRate,
                  static_cast<unsigned long long>(ChurnStats.ShedQueueFull),
                  static_cast<unsigned long long>(ChurnStats.ShedDeadline),
-                 static_cast<unsigned long long>(ChurnStats.Coalesced),
                  static_cast<unsigned long long>(ChurnStats.CacheHits),
                  static_cast<unsigned long long>(ChurnStats.CacheLookups),
                  CacheHitRate, ChurnAccounted ? "true" : "false");

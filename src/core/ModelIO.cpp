@@ -16,15 +16,51 @@ std::unique_ptr<Model> readFailed(std::string *Err, const std::string &Why) {
   return nullptr;
 }
 
+/// Converts the whole of \p Tok into \p Out: "12abc", a lone "-" and an
+/// out-of-range "1e999" fail instead of leaving a partial, zeroed or
+/// clamped value behind.
+template <class T> bool parseToken(const std::string &Tok, T &Out) {
+  std::istringstream TS(Tok);
+  return (TS >> Out) && TS.eof();
+}
+
+/// Reads the next whitespace-separated token of \p LS into \p Out.
+template <class T> bool readToken(std::istream &LS, T &Out) {
+  std::string Tok;
+  return (LS >> Tok) && parseToken(Tok, Out);
+}
+
+/// True when \p LS holds no further token.
+bool atLineEnd(std::istream &LS) {
+  std::string Extra;
+  return !(LS >> Extra);
+}
+
+/// Reads a header's element count ("points N", "parts N"): one
+/// non-negative integer and nothing after it. The count only bounds the
+/// lines read next; nothing is sized from it, so a hostile count can
+/// cost at most a truncation error.
+bool readCount(std::istream &LS, std::size_t &Count) {
+  long long N = 0;
+  if (!readToken(LS, N) || N < 0 || !atLineEnd(LS))
+    return false;
+  Count = static_cast<std::size_t>(N);
+  return true;
+}
+
+std::string lineError(std::size_t LineNo, const std::string &Why) {
+  return "line " + std::to_string(LineNo) + ": " + Why;
+}
+
 } // namespace
 
 bool fupermod::writeModel(std::ostream &OS, const Model &M) {
+  OS.precision(17);
   OS << "# fupermod model\n";
   OS << "kind " << M.kind() << '\n';
   if (std::isfinite(M.feasibleLimit()))
     OS << "limit " << M.feasibleLimit() << '\n';
   OS << "points " << M.points().size() << '\n';
-  OS.precision(17);
   const std::vector<double> &Weights = M.weights();
   for (std::size_t I = 0; I < M.points().size(); ++I) {
     const Point &P = M.points()[I];
@@ -57,17 +93,23 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     std::string Key;
     LS >> Key;
     if (Key == "kind") {
-      LS >> Kind;
-      HaveKind = !Kind.empty();
+      if (!(LS >> Kind) || !atLineEnd(LS))
+        return readFailed(Err, lineError(LineNo, "malformed kind (expected "
+                                                 "'kind <name>')"));
+      HaveKind = true;
     } else if (Key == "limit") {
-      LS >> Limit;
+      if (!readToken(LS, Limit) || !(Limit > 0.0) || !atLineEnd(LS))
+        return readFailed(Err, lineError(LineNo, "malformed limit (expected "
+                                                 "'limit <positive size>')"));
     } else if (Key == "points") {
-      LS >> Count;
+      if (!readCount(LS, Count))
+        return readFailed(Err, lineError(LineNo, "malformed point count "
+                                                 "(expected 'points <N>', "
+                                                 "N >= 0)"));
       HavePoints = true;
       break;
     } else {
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": unknown key '" + Key + "'");
+      return readFailed(Err, lineError(LineNo, "unknown key '" + Key + "'"));
     }
   }
   if (!HaveKind)
@@ -80,7 +122,6 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
   if (!M)
     return readFailed(Err, KindErr);
   std::vector<double> Weights;
-  Weights.reserve(Count);
   for (std::size_t I = 0; I < Count; ++I) {
     if (!std::getline(IS, Line))
       return readFailed(Err, "truncated: expected " + std::to_string(Count) +
@@ -88,27 +129,34 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     ++LineNo;
     std::istringstream LS(Line);
     Point P;
-    if (!(LS >> P.Units >> P.Time >> P.Reps >> P.ConfidenceInterval))
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": malformed point (expected 'units time "
-                                 "reps ci [weight]')");
+    if (!readToken(LS, P.Units) || !readToken(LS, P.Time) ||
+        !readToken(LS, P.Reps) || !readToken(LS, P.ConfidenceInterval))
+      return readFailed(Err, lineError(LineNo, "malformed point (expected "
+                                               "'units time reps ci "
+                                               "[weight]')"));
     if (P.Units <= 0.0 || P.Time <= 0.0 || P.Reps <= 0)
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": non-positive units, time, or reps");
+      return readFailed(Err, lineError(LineNo, "non-positive units, time, "
+                                               "or reps"));
     double W = static_cast<double>(P.Reps);
-    if (LS >> W) {
+    std::string WeightTok;
+    if (LS >> WeightTok) {
+      if (!parseToken(WeightTok, W) || !atLineEnd(LS))
+        return readFailed(Err, lineError(LineNo, "malformed point (expected "
+                                                 "'units time reps ci "
+                                                 "[weight]')"));
       if (W <= 0.0)
-        return readFailed(Err, "line " + std::to_string(LineNo) +
-                                   ": non-positive point weight");
+        return readFailed(Err, lineError(LineNo, "non-positive point "
+                                                 "weight"));
     }
-    LS.clear();
-    std::string Extra;
-    if (LS >> Extra)
-      return readFailed(Err, "line " + std::to_string(LineNo) +
-                                 ": malformed point (expected 'units time "
-                                 "reps ci [weight]')");
     Weights.push_back(W);
     M->update(P);
+    // writeModel saves distinct sizes in ascending order. update() would
+    // merge a repeated size (summing hostile repetition counts) or sort
+    // an out-of-order one away from its saved weight.
+    if (M->points().size() != Weights.size() ||
+        M->points().back().Units != P.Units)
+      return readFailed(Err, lineError(LineNo, "point sizes must be "
+                                               "distinct and ascending"));
   }
   if (std::isfinite(Limit)) {
     Point Fail;
@@ -117,10 +165,9 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     Fail.Time = std::numeric_limits<double>::infinity();
     M->update(Fail);
   }
-  // Saved points are pre-merged (distinct sizes), so the replay stores
-  // them one-to-one and the saved weights map straight onto them.
-  if (Weights.size() == M->points().size())
-    M->setWeights(Weights);
+  // The replay stored the points one-to-one, so the saved weights map
+  // straight onto them.
+  M->setWeights(Weights);
   if (Err)
     Err->clear();
   return M;
@@ -158,40 +205,61 @@ bool fupermod::writeDist(std::ostream &OS, const Dist &D) {
   return static_cast<bool>(OS);
 }
 
-bool fupermod::readDist(std::istream &IS, Dist &Out) {
+bool fupermod::readDist(std::istream &IS, Dist &Out, std::string *Err) {
+  auto Failed = [&](const std::string &Why) {
+    if (Err)
+      *Err = Why;
+    return false;
+  };
   std::string Line;
   Out = Dist();
   std::size_t Count = 0;
   bool HaveTotal = false, HaveParts = false;
+  std::size_t LineNo = 0;
   while (std::getline(IS, Line)) {
+    ++LineNo;
     if (Line.empty() || Line[0] == '#')
       continue;
     std::istringstream LS(Line);
     std::string Key;
     LS >> Key;
     if (Key == "total") {
-      LS >> Out.Total;
+      if (!readToken(LS, Out.Total) || !atLineEnd(LS))
+        return Failed(lineError(LineNo, "malformed total (expected "
+                                        "'total <N>')"));
       HaveTotal = true;
     } else if (Key == "parts") {
-      LS >> Count;
+      if (!readCount(LS, Count))
+        return Failed(lineError(LineNo, "malformed part count (expected "
+                                        "'parts <N>', N >= 0)"));
       HaveParts = true;
       break;
     } else {
-      return false;
+      return Failed(lineError(LineNo, "unknown key '" + Key + "'"));
     }
   }
-  if (!HaveTotal || !HaveParts)
-    return false;
-  Out.Parts.resize(Count);
+  if (!HaveTotal)
+    return Failed("missing 'total' header");
+  if (!HaveParts)
+    return Failed("missing 'parts' header");
   for (std::size_t I = 0; I < Count; ++I) {
     if (!std::getline(IS, Line))
-      return false;
+      return Failed("truncated: expected " + std::to_string(Count) +
+                    " parts, got " + std::to_string(I));
+    ++LineNo;
     std::istringstream LS(Line);
-    std::size_t Rank;
+    long long Rank = 0;
     Part P;
-    if (!(LS >> Rank >> P.Units >> P.PredictedTime) || Rank != I)
-      return false;
-    Out.Parts[I] = P;
+    if (!readToken(LS, Rank) || !readToken(LS, P.Units) ||
+        !readToken(LS, P.PredictedTime) || !atLineEnd(LS))
+      return Failed(lineError(LineNo, "malformed part (expected 'rank "
+                                      "units predicted_time')"));
+    if (Rank < 0 || static_cast<std::size_t>(Rank) != I)
+      return Failed(lineError(LineNo, "expected rank " + std::to_string(I) +
+                                          ", got " + std::to_string(Rank)));
+    Out.Parts.push_back(P);
   }
+  if (Err)
+    Err->clear();
   return true;
 }

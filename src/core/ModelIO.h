@@ -17,6 +17,7 @@
 ///   <units> <time> <reps> <ci> [weight]
 ///   ...
 ///
+/// The point sizes are distinct and ascending, as the writer emits them.
 /// The optional trailing weight column records a point's staleness-decayed
 /// merge weight when it no longer equals the repetition count, so a
 /// reloaded model merges future measurements exactly like the in-memory
@@ -43,7 +44,9 @@ bool writeModel(std::ostream &OS, const Model &M);
 
 /// Reads a model written by writeModel(). Returns null on malformed
 /// input; when \p Err is non-null it then receives a diagnostic naming
-/// the offending line.
+/// the offending line. Every header value and point field must convert
+/// in full, and the `points` count only bounds the lines read, so a
+/// hostile file fails with a diagnostic instead of throwing.
 std::unique_ptr<Model> readModel(std::istream &IS,
                                  std::string *Err = nullptr);
 
@@ -61,8 +64,9 @@ std::unique_ptr<Model> loadModel(const std::string &Path,
 bool writeDist(std::ostream &OS, const Dist &D);
 
 /// Reads a distribution written by writeDist(). Returns false on
-/// malformed input.
-bool readDist(std::istream &IS, Dist &Out);
+/// malformed input; when \p Err is non-null it then receives a
+/// diagnostic, naming the offending line where there is one.
+bool readDist(std::istream &IS, Dist &Out, std::string *Err = nullptr);
 
 } // namespace fupermod
 

@@ -30,8 +30,11 @@
 ///    stream (stdin, a pipe/FIFO, a socket fd wrapped in a stream),
 ///    submits them to an engine::Server, and writes the responses back
 ///    in request order, so external clients can drive the server through
-///    a plain pipe while N workers, coalescing and the partition cache
-///    do the work.
+///    a plain pipe while N workers do the work.
+///
+/// Both modes answer through Session::partitionRendered(), so a repeat
+/// request with unchanged models is a replay of the session's memoized
+/// reply in either mode.
 ///
 //===----------------------------------------------------------------------===//
 

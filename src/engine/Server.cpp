@@ -27,7 +27,7 @@ Server::Server(Session &S, ServerConfig Config)
         C.Workers = std::max(1, C.Workers);
         return C;
       }()),
-      Queue(this->Config.QueueCapacity), Cache(this->Config.CacheCapacity) {
+      Queue(this->Config.QueueCapacity) {
   Workers.reserve(static_cast<std::size_t>(this->Config.Workers));
   for (int I = 0; I < this->Config.Workers; ++I)
     Workers.emplace_back([this] { workerLoop(); });
@@ -88,8 +88,6 @@ void Server::resolve(Job &&J, ServerResponse R) {
     switch (R.K) {
     case ServerResponse::Kind::Ok:
       ++Stats.Answered;
-      if (R.Coalesced)
-        ++Stats.Coalesced;
       break;
     case ServerResponse::Kind::Error:
       ++Stats.Errors;
@@ -120,94 +118,39 @@ void Server::answer(Job &&J) {
     return;
   }
 
-  // The coalescing/cache key pins the model state via the epoch. A hot
-  // reload between this read and the solve below merely means the reply
-  // is computed against a *newer* epoch (partitionRendered stamps the
-  // one it actually used) — never a stale or torn one.
-  Key K;
-  K.Epoch = S.modelEpoch();
-  K.Total = J.Req.Total;
-  K.Algorithm =
-      J.Req.Algorithm.empty() ? S.config().Algorithm : J.Req.Algorithm;
-
-  {
-    std::lock_guard<std::mutex> Lock(CoalesceMutex);
-    if (std::optional<PartitionReply> Hit = Cache.get(K)) {
-      ServerResponse R;
-      R.K = ServerResponse::Kind::Ok;
-      R.Reply = std::move(*Hit);
-      R.CacheHit = true;
-      resolve(std::move(J), std::move(R));
-      return;
-    }
-    auto It = InFlight.find(K);
-    if (It != InFlight.end()) {
-      // An identical solve is in flight: attach to it. The leader
-      // resolves this job when it finishes.
-      It->second.push_back(std::move(J));
-      return;
-    }
-    InFlight.emplace(K, std::vector<Job>());
-  }
-
-  // This worker is the leader for K.
-  if (Config.SolveDelay.count() > 0)
-    std::this_thread::sleep_for(Config.SolveDelay);
   Result<PartitionReply> Solved =
       S.partitionRendered(J.Req.Total, J.Req.Algorithm);
-
-  std::vector<Job> Followers;
+  bool Memoized = Solved.ok() && Solved.value().Memoized;
+  if (!Memoized && Config.SolveDelay.count() > 0)
+    std::this_thread::sleep_for(Config.SolveDelay);
   {
-    std::lock_guard<std::mutex> Lock(CoalesceMutex);
-    auto It = InFlight.find(K);
-    if (It != InFlight.end()) {
-      Followers = std::move(It->second);
-      InFlight.erase(It);
-    }
-    if (Solved.ok()) {
-      // Cache under the epoch the solve actually ran against (it can be
-      // newer than K.Epoch when a reload raced the solve).
-      Key Actual = K;
-      Actual.Epoch = Solved.value().Epoch;
-      Cache.put(std::move(Actual), Solved.value());
-    }
+    std::lock_guard<std::mutex> Lock(StatsMutex);
+    ++Stats.CacheLookups;
+    if (Memoized)
+      ++Stats.CacheHits;
   }
 
-  // Resolve the leader and every coalesced follower; deadline "during
-  // solve" enforcement happens here — a request whose budget expired
-  // while the solve ran is shed, not answered late.
-  Clock::time_point Now = Clock::now();
-  bool Leader = true;
-  auto ResolveOne = [&](Job &&Out) {
-    if (Out.HasDeadline && Now > Out.Deadline) {
-      resolve(std::move(Out), rejected(RejectReason::Deadline));
-    } else if (Solved.ok()) {
-      ServerResponse R;
-      R.K = ServerResponse::Kind::Ok;
-      R.Reply = Solved.value();
-      R.Coalesced = !Leader;
-      resolve(std::move(Out), std::move(R));
-    } else {
-      ServerResponse R;
-      R.K = ServerResponse::Kind::Error;
-      R.Message = Solved.error();
-      resolve(std::move(Out), std::move(R));
-    }
-  };
-  ResolveOne(std::move(J));
-  Leader = false;
-  for (Job &F : Followers)
-    ResolveOne(std::move(F));
+  // Deadline after the solve: a request whose budget expired while it
+  // was being solved is shed, not answered late.
+  if (J.HasDeadline && Clock::now() > J.Deadline) {
+    resolve(std::move(J), rejected(RejectReason::Deadline));
+    return;
+  }
+  ServerResponse R;
+  if (Solved.ok()) {
+    R.K = ServerResponse::Kind::Ok;
+    R.Reply = std::move(Solved.value());
+  } else {
+    R.K = ServerResponse::Kind::Error;
+    R.Message = Solved.error();
+  }
+  resolve(std::move(J), std::move(R));
 }
 
 Result<int> Server::reload() {
   Result<int> R = S.refreshModels();
   if (R.ok() && R.value() > 0) {
-    std::lock_guard<std::mutex> Lock(CoalesceMutex);
-    // The epoch bump already makes old entries unreachable; clearing
-    // returns their capacity to live keys immediately.
-    Cache.clear();
-    std::lock_guard<std::mutex> SLock(StatsMutex);
+    std::lock_guard<std::mutex> Lock(StatsMutex);
     Stats.Reloads += static_cast<std::uint64_t>(R.value());
   }
   return R;
@@ -226,13 +169,6 @@ void Server::shutdown() {
 }
 
 ServerStats Server::stats() const {
-  ServerStats Out;
-  {
-    std::lock_guard<std::mutex> Lock(StatsMutex);
-    Out = Stats;
-  }
-  std::lock_guard<std::mutex> Lock(CoalesceMutex);
-  Out.CacheLookups = Cache.lookups();
-  Out.CacheHits = Cache.hits();
-  return Out;
+  std::lock_guard<std::mutex> Lock(StatsMutex);
+  return Stats;
 }

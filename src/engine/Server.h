@@ -9,8 +9,11 @@
 /// worker threads draining a bounded request queue, answering partition
 /// requests through Session::partitionRendered() (which is thread-safe
 /// and epoch-stamped, so hot reloads are atomic with respect to
-/// in-flight solves). The server never falls over under load — it
-/// degrades in structured, observable ways:
+/// in-flight solves). The server keeps no cache of its own: a repeat
+/// request is answered from the session's per-(algorithm, total) memo,
+/// which replays the rendered reply while the model epoch is unchanged.
+/// The server never falls over under load — it degrades in structured,
+/// observable ways:
 ///
 ///   admission control   submit() on a full queue (or after shutdown
 ///                       begins) resolves immediately with a
@@ -19,15 +22,7 @@
 ///   deadlines           a request may carry a latency budget; it is
 ///                       enforced when the request is dequeued and again
 ///                       after the solve, yielding Rejected{deadline}
-///                       rather than a late answer nobody wants;
-///   coalescing          identical (model epoch, total, algorithm)
-///                       requests in flight are solved once — followers
-///                       attach to the leader's solve and receive the
-///                       same reply;
-///   partition cache     an LRU of recent replies keyed by the same
-///                       triple; epoch-keyed entries self-invalidate on
-///                       hot reload (reload() additionally clears the
-///                       cache so dead epochs do not occupy capacity).
+///                       rather than a late answer nobody wants.
 ///
 /// Every submitted request receives exactly one response — Ok, Error, or
 /// a structured rejection — and shutdown() drains: requests already
@@ -40,7 +35,6 @@
 
 #include "engine/Session.h"
 #include "support/BoundedQueue.h"
-#include "support/LruCache.h"
 
 #include <chrono>
 #include <cstdint>
@@ -48,7 +42,6 @@
 #include <mutex>
 #include <string>
 #include <thread>
-#include <unordered_map>
 #include <vector>
 
 namespace fupermod {
@@ -89,12 +82,9 @@ struct ServerResponse {
   RejectReason Reason = RejectReason::QueueFull;
   /// Diagnostic when K == Error.
   std::string Message;
-  /// The partition reply (dist + epoch + rendered text) when K == Ok.
+  /// The partition reply (dist + epoch + rendered text) when K == Ok;
+  /// Reply.Memoized marks a replay from the session's memo.
   PartitionReply Reply;
-  /// True when this response was produced by another request's solve.
-  bool Coalesced = false;
-  /// True when this response was served from the partition cache.
-  bool CacheHit = false;
   /// submit() -> response latency as measured by the server.
   double LatencySeconds = 0.0;
 };
@@ -108,9 +98,12 @@ struct ServerStats {
   std::uint64_t ShedQueueFull = 0;
   std::uint64_t ShedDeadline = 0;
   std::uint64_t ShedShutdown = 0;
-  /// Requests answered by attaching to an in-flight identical solve.
+  /// Always 0: the server no longer coalesces identical requests in
+  /// flight (a repeat is a memo replay instead). The field stays until
+  /// the benchmark that reads it stops reporting a coalesced ratio.
   std::uint64_t Coalesced = 0;
-  /// Partition-cache lookups/hits (hits are also counted in Answered).
+  /// Requests passed to Session::partitionRendered(), and the replies
+  /// that came back Memoized (also counted in Answered or ShedDeadline).
   std::uint64_t CacheLookups = 0;
   std::uint64_t CacheHits = 0;
   /// Models hot-reloaded through reload().
@@ -125,11 +118,11 @@ struct ServerConfig {
   /// Default latency budget for requests that carry none; zero = no
   /// deadline.
   std::chrono::milliseconds DefaultDeadline{0};
-  /// Partition-cache capacity in entries; zero disables the cache.
-  std::size_t CacheCapacity = 1024;
-  /// Artificial per-solve delay — test/bench instrumentation to make
-  /// queue-full shedding, coalescing and deadline expiry deterministic
-  /// on fast machines. Zero in production.
+  /// Artificial per-solve delay — test/bench instrumentation that
+  /// stands in for a slow solve, to make queue-full shedding and
+  /// deadline expiry deterministic on fast machines. It applies only
+  /// when the session actually solved, so memo replays stay free. Zero
+  /// in production.
   std::chrono::microseconds SolveDelay{0};
 };
 
@@ -153,10 +146,8 @@ public:
   std::future<ServerResponse> submit(ServerRequest Req);
 
   /// Hot-reloads the session's file-backed models (atomic with respect
-  /// to in-flight solves) and, when anything reloaded, clears the
-  /// partition cache — the epoch bump makes old entries unreachable
-  /// anyway; clearing just frees their capacity. Returns the number of
-  /// models reloaded.
+  /// to in-flight solves; the epoch bump retires every memoized reply).
+  /// Returns the number of models reloaded.
   Result<int> reload();
 
   /// Stops intake (new submissions are rejected with shutting_down),
@@ -184,27 +175,6 @@ private:
     std::promise<ServerResponse> Promise;
   };
 
-  /// Coalescing/cache key: two requests with equal keys are guaranteed
-  /// the same reply (the epoch pins the model state).
-  struct Key {
-    std::uint64_t Epoch = 0;
-    std::int64_t Total = 0;
-    std::string Algorithm;
-    bool operator==(const Key &O) const {
-      return Epoch == O.Epoch && Total == O.Total && Algorithm == O.Algorithm;
-    }
-  };
-  struct KeyHash {
-    std::size_t operator()(const Key &K) const {
-      std::size_t H = std::hash<std::uint64_t>()(K.Epoch);
-      H ^= std::hash<std::int64_t>()(K.Total) + 0x9e3779b97f4a7c15ull +
-           (H << 6) + (H >> 2);
-      H ^= std::hash<std::string>()(K.Algorithm) + 0x9e3779b97f4a7c15ull +
-           (H << 6) + (H >> 2);
-      return H;
-    }
-  };
-
   void workerLoop();
   void answer(Job &&J);
   /// Resolves \p J with \p R, stamping latency and bumping the counters.
@@ -215,13 +185,6 @@ private:
   const ServerConfig Config;
   BoundedQueue<Job> Queue;
   std::vector<std::thread> Workers;
-
-  /// Guards InFlight + Cache (one mutex: a cache miss and the in-flight
-  /// registration must be atomic or two workers could both become
-  /// leaders for the same key).
-  mutable std::mutex CoalesceMutex;
-  std::unordered_map<Key, std::vector<Job>, KeyHash> InFlight;
-  LruCache<Key, PartitionReply, KeyHash> Cache;
 
   mutable std::mutex StatsMutex;
   ServerStats Stats;

@@ -309,10 +309,15 @@ Status Session::feedback(int Rank, const Point &P) {
   return okStatus();
 }
 
+Session::MemoEntry &Session::memoEntry(const MemoKey &Key) {
+  if (Memo.size() >= MaxHints && Memo.find(Key) == Memo.end())
+    Memo.clear();
+  return Memo[Key];
+}
+
 Result<Dist> Session::partitionLocked(std::int64_t Total,
-                                      const std::string &Algorithm) {
+                                      const std::string &Name) {
   using R = Result<Dist>;
-  const std::string &Name = Algorithm.empty() ? Config.Algorithm : Algorithm;
   std::string Err;
   WarmPartitioner Algo = findWarmPartitioner(Name, &Err);
   if (!Algo)
@@ -352,9 +357,9 @@ Result<Dist> Session::partitionLocked(std::int64_t Total,
   PartitionHint Hint;
   {
     std::lock_guard<std::mutex> HintLock(HintMutex);
-    auto It = Hints.find({Name, Total});
-    if (It != Hints.end())
-      Hint = It->second;
+    auto It = Memo.find({Name, Total});
+    if (It != Memo.end())
+      Hint = It->second.Hint;
   }
 
   Dist Sub;
@@ -365,11 +370,7 @@ Result<Dist> Session::partitionLocked(std::int64_t Total,
 
   if (Hint.Valid) {
     std::lock_guard<std::mutex> HintLock(HintMutex);
-    if (Hints.size() >= MaxHints && Hints.find({Name, Total}) == Hints.end())
-      Hints.clear(); // Rare at MaxHints distinct (algorithm, total) keys;
-                     // dropping all is simpler than an eviction order and
-                     // only costs the next call its warm start.
-    Hints[{Name, Total}] = std::move(Hint);
+    memoEntry({Name, Total}).Hint = std::move(Hint);
   }
 
   // Map the participating ranks' shares back; excluded ranks hold 0.
@@ -384,14 +385,27 @@ Result<Dist> Session::partitionLocked(std::int64_t Total,
 Result<Dist> Session::partition(std::int64_t Total,
                                 const std::string &Algorithm) {
   std::shared_lock<std::shared_mutex> Lock(StateMutex);
-  return partitionLocked(Total, Algorithm);
+  return partitionLocked(Total, algorithmName(Algorithm));
 }
 
 Result<PartitionReply> Session::partitionRendered(
     std::int64_t Total, const std::string &Algorithm) {
   using R = Result<PartitionReply>;
+  const std::string &Name = algorithmName(Algorithm);
   std::shared_lock<std::shared_mutex> Lock(StateMutex);
-  Result<Dist> D = partitionLocked(Total, Algorithm);
+  {
+    // Every model mutation bumps Epoch under the exclusive lock, so a
+    // reply stamped with the current epoch is still the exact answer.
+    std::lock_guard<std::mutex> HintLock(HintMutex);
+    auto It = Memo.find({Name, Total});
+    if (It != Memo.end() && It->second.Reply &&
+        It->second.Reply->Epoch == Epoch) {
+      PartitionReply Replay = *It->second.Reply;
+      Replay.Memoized = true;
+      return Replay;
+    }
+  }
+  Result<Dist> D = partitionLocked(Total, Name);
   if (!D)
     return R::failure(D.error());
 
@@ -399,7 +413,6 @@ Result<PartitionReply> Session::partitionRendered(
   Reply.D = std::move(D.value());
   Reply.Epoch = Epoch;
 
-  const std::string &Name = Algorithm.empty() ? Config.Algorithm : Algorithm;
   const Dist &Out = Reply.D;
   char Buf[256];
   std::snprintf(Buf, sizeof(Buf),
@@ -417,6 +430,9 @@ Result<PartitionReply> Session::partitionRendered(
   std::snprintf(Buf, sizeof(Buf), "# max predicted time: %.6f\n",
                 Out.maxPredictedTime());
   Reply.Text += Buf;
+
+  std::lock_guard<std::mutex> HintLock(HintMutex);
+  memoEntry({Name, Total}).Reply = Reply;
   return Reply;
 }
 
@@ -477,7 +493,7 @@ std::uint64_t Session::modelEpoch() const {
   return Epoch;
 }
 
-Model *Session::model(int Rank) {
+const Model *Session::model(int Rank) const {
   std::shared_lock<std::shared_mutex> Lock(StateMutex);
   if (Rank < 0 || Rank >= static_cast<int>(Slots.size()))
     return nullptr;
@@ -489,9 +505,9 @@ const ModelSlot &Session::slot(int Rank) const {
   return Slots.at(static_cast<std::size_t>(Rank));
 }
 
-std::vector<Model *> Session::activeModels() const {
+std::vector<const Model *> Session::activeModels() const {
   std::shared_lock<std::shared_mutex> Lock(StateMutex);
-  std::vector<Model *> Out;
+  std::vector<const Model *> Out;
   for (const ModelSlot &Slot : Slots)
     if (Slot.Exclusion.empty() && Slot.M && Slot.M->fitted())
       Out.push_back(Slot.M.get());

@@ -36,16 +36,19 @@
 /// bumps. A refreshModels() hot reload is therefore atomic with respect
 /// to in-flight partition() calls — a solve sees either the old fit or
 /// the new one, never a mix — and partitionRendered() reports the epoch
-/// its answer was computed against, which is what the engine server keys
-/// its coalescing table and partition cache on.
+/// its answer was computed against. Models are handed out read-only, so
+/// every mutation goes through a Session call that bumps the epoch.
 ///
-/// partition() is warm-started: the session keeps the last successful
-/// solution per (algorithm, total) as a PartitionHint and solves through
-/// the warm partitioners, so a repeat request with unchanged models
-/// replays the memoized answer and a request right after a feedback
-/// delta or hot reload seeds its solver from the previous solution (the
-/// --serve cache-miss path). The hints validate themselves against the
-/// models' fit epochs, so results are always identical to a cold solve.
+/// The session keeps one memo entry per (algorithm, total), and it is
+/// the engine's only reply cache. The entry holds the last successful
+/// solve as a PartitionHint, which warm-starts partition(): with
+/// unchanged models the answer is replayed, and right after a feedback
+/// delta or hot reload the solver is seeded from the previous solution.
+/// The hints validate themselves against the models' fit epochs, so
+/// results are always identical to a cold solve. The entry also holds
+/// the last rendered reply, which partitionRendered() returns as is
+/// while the model epoch is unchanged, since rendering costs several
+/// times the warm solve.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -66,6 +69,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -159,6 +163,9 @@ struct PartitionReply {
   std::uint64_t Epoch = 0;
   /// The partition block exactly as the one-shot partitioner prints it.
   std::string Text;
+  /// True when the reply was replayed from the session's memo, without
+  /// solving or rendering.
+  bool Memoized = false;
 };
 
 /// The long-lived engine object. Create via Session::create(); all
@@ -229,7 +236,10 @@ public:
   /// epoch it was computed against and renders the one-shot-compatible
   /// text block, all under one reader lock. This is the call the
   /// concurrent server and serve mode answer requests with: two replies
-  /// with equal (Epoch, Total, algorithm) are bit-identical.
+  /// with equal (Epoch, Total, algorithm) are bit-identical. The reply
+  /// is memoized per (algorithm, total); while the model epoch is
+  /// unchanged a repeat returns it marked Memoized, without solving or
+  /// rendering.
   Result<PartitionReply> partitionRendered(std::int64_t Total,
                                            const std::string &Algorithm = "");
 
@@ -257,16 +267,18 @@ public:
   /// --- introspection -----------------------------------------------
 
   int rankCount() const;
-  Model *model(int Rank);
+  /// Read-only: models change only through the Session calls that bump
+  /// the model epoch.
+  const Model *model(int Rank) const;
   const ModelSlot &slot(int Rank) const;
   /// Pointers to the participating (non-excluded) models, with their
   /// rank indices — the exact inputs partition() hands the algorithm.
-  std::vector<Model *> activeModels() const;
+  std::vector<const Model *> activeModels() const;
 
   /// Monotonically increasing counter of the model state: every mutation
   /// (load, measure, feedback, successful hot reload) bumps it. Two
   /// partitionRendered() replies with the same (epoch, total, algorithm)
-  /// are interchangeable — the server's coalescing and cache key.
+  /// are interchangeable — the validity rule of the reply memo.
   std::uint64_t modelEpoch() const;
 
   /// Accumulated communication traffic of every SPMD run the session
@@ -293,8 +305,15 @@ private:
   Status loadSlot(ModelSlot &Slot, const std::string &Path, bool Degraded);
 
   /// The solve itself; caller holds StateMutex (shared suffices).
+  /// \p Algorithm is already resolved (never empty).
   Result<Dist> partitionLocked(std::int64_t Total,
                                const std::string &Algorithm);
+
+  /// The algorithm a request names: \p Algorithm, or the session default
+  /// when it is empty.
+  const std::string &algorithmName(const std::string &Algorithm) const {
+    return Algorithm.empty() ? Config.Algorithm : Algorithm;
+  }
 
   SessionConfig Config;
 
@@ -306,15 +325,28 @@ private:
   std::vector<std::string> Warnings;
   std::uint64_t Epoch = 0;
 
-  /// Warm-start state: the last successful solution per (algorithm,
-  /// total). Guarded by its own mutex because partition() readers share
-  /// StateMutex yet must mutate this; each solve works on a copy, so the
-  /// lock is only held for lookup and write-back. Stale entries are
-  /// harmless (fit-epoch validation rejects them) and the map is bounded
-  /// by MaxHints.
-  mutable std::mutex HintMutex;
-  mutable std::map<std::pair<std::string, std::int64_t>, PartitionHint>
-      Hints;
+  /// One memo entry per (algorithm, total): the warm-start hint of the
+  /// last successful solve, and the last rendered reply.
+  struct MemoEntry {
+    PartitionHint Hint;
+    /// Replayed by partitionRendered() while Reply->Epoch is current.
+    std::optional<PartitionReply> Reply;
+  };
+  using MemoKey = std::pair<std::string, std::int64_t>;
+
+  /// The entry for \p Key, created when absent. A full memo is cleared
+  /// first: that is rare at MaxHints distinct keys, and dropping all is
+  /// simpler than an eviction order (it only costs the next calls their
+  /// warm start). Caller holds HintMutex.
+  MemoEntry &memoEntry(const MemoKey &Key);
+
+  /// Guards Memo. It has its own mutex because partition() readers
+  /// share StateMutex yet must update it; each solve works on a copy of
+  /// the hint, so the lock is only held for lookup and write-back. Stale
+  /// entries are harmless: fit-epoch validation rejects a stale hint,
+  /// and the epoch check a stale reply.
+  std::mutex HintMutex;
+  std::map<MemoKey, MemoEntry> Memo;
   static constexpr std::size_t MaxHints = 128;
 
   /// Folded counter snapshots of the session's SPMD runs (see

@@ -53,6 +53,19 @@ if(NOT Sum EQUAL 4500)
                       "${LAST_OUTPUT}")
 endif()
 
+# One renderer: the one-shot --total answer is exactly the block that
+# --serve prints for the same total.
+string(REGEX MATCH "# geometric partitioning of 3000 units[^#]*# max predicted time: [^\n]*\n"
+       ServeBlock "${LAST_OUTPUT}")
+set(ServeOutput "${LAST_OUTPUT}")
+run_checked(${PARTITIONER} --total 3000 ${WORKDIR}/dev0.fpm ${WORKDIR}/dev1.fpm)
+if(ServeBlock STREQUAL "" OR NOT LAST_OUTPUT STREQUAL ServeBlock)
+  message(FATAL_ERROR "--total 3000 differs from the --serve block:\n"
+                      "--- one-shot ---\n${LAST_OUTPUT}\n"
+                      "--- serve block ---\n${ServeBlock}")
+endif()
+set(LAST_OUTPUT "${ServeOutput}")
+
 # Serve answers from one long-lived session: the same batch answered
 # twice must be deterministic. (Mid-run hot reload is unit-tested in
 # SessionTest; a sequential script cannot rewrite a file between two
@@ -159,6 +172,22 @@ execute_process(COMMAND ${PARTITIONER} --total 100 --exlpain
 if(Rc EQUAL 0 OR NOT Err MATCHES "unknown option --exlpain")
   message(FATAL_ERROR "partitioner accepted a mistyped flag:\n${Err}")
 endif()
+# Serve knobs out of range are usage errors, not silently replaced.
+foreach(Bad "--workers;-2;--workers must be non-negative"
+            "--queue;-5;--queue must be positive"
+            "--queue;0;--queue must be positive"
+            "--deadline-ms;-1;--deadline-ms must be non-negative")
+  list(GET Bad 0 Flag)
+  list(GET Bad 1 Value)
+  list(GET Bad 2 Message)
+  execute_process(COMMAND ${PARTITIONER} --serve ${WORKDIR}/requests.txt
+                  ${Flag} ${Value} ${WORKDIR}/dev0.fpm
+                  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_VARIABLE Err)
+  if(NOT Rc EQUAL 2 OR NOT Err MATCHES "error: ${Message}")
+    message(FATAL_ERROR "partitioner accepted ${Flag} ${Value} "
+                        "(rc ${Rc}):\n${Err}")
+  endif()
+endforeach()
 execute_process(COMMAND ${BUILDER} --points ten RESULT_VARIABLE Rc
                 OUTPUT_QUIET ERROR_VARIABLE Err)
 if(Rc EQUAL 0 OR NOT Err MATCHES "expected an integer")

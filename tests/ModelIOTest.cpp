@@ -62,6 +62,24 @@ TEST(ModelIO, PreservesFeasibilityLimit) {
   EXPECT_DOUBLE_EQ(Back->feasibleLimit(), 500.0);
 }
 
+TEST(ModelIO, PreservesFeasibilityLimitToTheLastDigit) {
+  // The limit used to be written at the stream's default 6 digits, so
+  // 1234567 saved as 1.23457e+06 and reloaded 3 units looser.
+  auto M = makeModel("piecewise");
+  M->update(makePoint(100.0, 2.0));
+  Point Fail;
+  Fail.Units = 1234567.0;
+  Fail.Reps = 0;
+  Fail.Time = std::numeric_limits<double>::infinity();
+  M->update(Fail);
+
+  std::stringstream SS;
+  ASSERT_TRUE(writeModel(SS, *M));
+  std::unique_ptr<Model> Back = readModel(SS);
+  ASSERT_NE(Back, nullptr);
+  EXPECT_EQ(Back->feasibleLimit(), 1234567.0);
+}
+
 TEST(ModelIO, RoundTripsPointWeights) {
   auto M = makeModel("piecewise");
   M->update(makePoint(10.0, 1.0, 4));
@@ -217,6 +235,58 @@ TEST(ModelIO, RejectsMalformedInput) {
   }
 }
 
+TEST(ModelIO, HostilePointCountsFailWithADiagnostic) {
+  // The reader used to size its buffers from the header: "points -1"
+  // threw std::length_error and a huge count std::bad_alloc.
+  for (const char *Text : {"kind cpm\npoints -1\n10 1 3 0\n",
+                           "kind cpm\npoints 100000000000000\n10 1 3 0\n",
+                           "kind cpm\npoints 99999999999999999999\n"}) {
+    std::stringstream SS(Text);
+    std::string Err;
+    std::unique_ptr<Model> M;
+    EXPECT_NO_THROW(M = readModel(SS, &Err)) << Text;
+    EXPECT_EQ(M, nullptr) << Text;
+    EXPECT_FALSE(Err.empty()) << Text;
+  }
+  std::stringstream Negative("kind cpm\npoints -1\n");
+  std::string Err;
+  EXPECT_EQ(readModel(Negative, &Err), nullptr);
+  EXPECT_NE(Err.find("line 2"), std::string::npos) << Err;
+  std::stringstream Huge("kind cpm\npoints 100000000000000\n10 1 3 0\n");
+  EXPECT_EQ(readModel(Huge, &Err), nullptr);
+  EXPECT_NE(Err.find("truncated"), std::string::npos) << Err;
+}
+
+TEST(ModelIO, MalformedInputIsRejectedWithLineNumbers) {
+  // "limit abc" used to read as a zero limit and "points x" as zero
+  // points: the failed extractions were ignored. Point fields must
+  // convert in full, and sizes must be distinct and ascending.
+  struct Case {
+    const char *Text;
+    const char *Line;
+  };
+  for (const Case &C : {Case{"kind cpm\nlimit abc\npoints 0\n", "line 2"},
+                        Case{"kind cpm\nlimit 1e999\npoints 0\n", "line 2"},
+                        Case{"kind cpm\nlimit -5\npoints 0\n", "line 2"},
+                        Case{"kind cpm\npoints x\n", "line 2"},
+                        Case{"kind cpm\npoints 1.5\n10 1 3 0\n", "line 2"},
+                        Case{"# c\nkind cpm extra\npoints 0\n", "line 2"},
+                        Case{"kind cpm\npoints 1\n10 1 3 0 -\n", "line 3"},
+                        Case{"kind cpm\npoints 1\n10 1e999 3 0\n", "line 3"},
+                        // A repeated size would merge and sum the
+                        // repetition counts past INT_MAX.
+                        Case{"kind cpm\npoints 2\n10 1 2000000000 0\n"
+                             "10 1 2000000000 0\n",
+                             "line 4"},
+                        Case{"kind cpm\npoints 2\n20 2 3 0 1.5\n10 1 3 0\n",
+                             "line 4"}}) {
+    std::stringstream SS(C.Text);
+    std::string Err;
+    EXPECT_EQ(readModel(SS, &Err), nullptr) << C.Text;
+    EXPECT_NE(Err.find(C.Line), std::string::npos) << C.Text << ": " << Err;
+  }
+}
+
 TEST(ModelIO, IgnoresCommentsAndBlankLines) {
   std::stringstream SS(
       "# header\n\nkind cpm\n# noise\npoints 1\n10 2 3 0.1\n");
@@ -255,4 +325,20 @@ TEST(DistIO, RejectsRankMismatch) {
   std::stringstream SS("total 10\nparts 2\n0 5 0\n5 5 0\n");
   Dist Back;
   EXPECT_FALSE(readDist(SS, Back));
+}
+
+TEST(DistIO, HostileHeadersFailWithADiagnostic) {
+  // "parts -1" used to resize the distribution to 2^64 - 1 parts.
+  for (const char *Text : {"total 10\nparts -1\n",
+                           "total 10\nparts 100000000000000\n0 5 0\n",
+                           "total x\nparts 1\n0 10 0\n",
+                           "total 10\nparts 1\n0 10 0 extra\n"}) {
+    std::stringstream SS(Text);
+    Dist Back;
+    std::string Err;
+    bool Ok = true;
+    EXPECT_NO_THROW(Ok = readDist(SS, Back, &Err)) << Text;
+    EXPECT_FALSE(Ok) << Text;
+    EXPECT_FALSE(Err.empty()) << Text;
+  }
 }

@@ -12,12 +12,12 @@
 //   * overload sheds with Rejected{queue_full}, deadlines expire as
 //     Rejected{deadline}, shutdown rejects new work as
 //     Rejected{shutting_down} while draining admitted requests;
-//   * identical in-flight requests coalesce to one solve and the cache
-//     serves repeats, with all replies byte-identical.
+//   * repeats of one request are replays of the session's memoized
+//     reply, all byte-identical, and the server counts every replay.
 //
 // The host may have a single CPU, so these tests assert correctness
 // invariants, never parallel speedups; ServerConfig::SolveDelay widens
-// the in-flight windows to make shedding and coalescing deterministic.
+// the in-flight windows to make shedding deterministic.
 //
 //===----------------------------------------------------------------------===//
 
@@ -219,7 +219,6 @@ TEST(ServerStress, QueueFullShedsWithStructuredRejection) {
   ServerConfig Cfg;
   Cfg.Workers = 1;
   Cfg.QueueCapacity = 1;
-  Cfg.CacheCapacity = 0; // No cache/coalesce relief: every solve is real.
   Cfg.SolveDelay = std::chrono::milliseconds(20);
   Server Srv(*S, Cfg);
 
@@ -227,7 +226,7 @@ TEST(ServerStress, QueueFullShedsWithStructuredRejection) {
   std::vector<std::future<ServerResponse>> Futures;
   for (int I = 0; I < N; ++I) {
     ServerRequest Req;
-    Req.Total = 1000 + I; // Unique totals: coalescing cannot absorb them.
+    Req.Total = 1000 + I; // Unique totals: the memo cannot absorb them.
     Futures.push_back(Srv.submit(std::move(Req)));
   }
   int Ok = 0, QueueFull = 0, Other = 0;
@@ -281,8 +280,8 @@ TEST(ServerStress, ExpiredDeadlineIsShedNotAnswered) {
   EXPECT_STREQ(rejectReasonName(RejectReason::Deadline), "deadline");
 }
 
-TEST(ServerStress, IdenticalRequestsCoalesceAndCacheToOneAnswer) {
-  auto S = makeServedSession("coalesce_", nullptr);
+TEST(ServerStress, IdenticalRequestsReplayTheMemoizedAnswer) {
+  auto S = makeServedSession("memo_", nullptr);
   ServerConfig Cfg;
   Cfg.Workers = 2;
   Cfg.QueueCapacity = 64;
@@ -293,27 +292,28 @@ TEST(ServerStress, IdenticalRequestsCoalesceAndCacheToOneAnswer) {
   std::vector<std::future<ServerResponse>> Futures;
   for (int I = 0; I < N; ++I) {
     ServerRequest Req;
-    Req.Total = 4242; // All identical: one solve should feed them all.
+    Req.Total = 4242; // All identical: the first solve feeds the rest.
     Futures.push_back(Srv.submit(std::move(Req)));
   }
   std::set<std::string> Texts;
-  int Shared = 0;
+  int Memoized = 0;
   for (auto &F : Futures) {
     ServerResponse R = F.get();
     ASSERT_EQ(R.K, ServerResponse::Kind::Ok) << R.Message;
     Texts.insert(R.Reply.Text);
-    if (R.Coalesced || R.CacheHit)
-      ++Shared;
+    if (R.Reply.Memoized)
+      ++Memoized;
   }
   Srv.shutdown();
-  // All replies bit-identical, and the bulk of them were served by
-  // attaching to the in-flight solve or from the partition cache.
+  // One text across all replies; at most one solve per worker raced the
+  // first write-back, every other reply is a memo replay, and the
+  // server's counters agree with the replies.
   EXPECT_EQ(Texts.size(), 1u);
-  EXPECT_GT(Shared, 0);
+  EXPECT_GE(Memoized, N - Cfg.Workers);
   ServerStats St = Srv.stats();
-  EXPECT_EQ(St.Coalesced + St.CacheHits,
-            static_cast<std::uint64_t>(Shared));
-  EXPECT_GT(St.Coalesced + St.CacheHits, 0u);
+  EXPECT_EQ(St.CacheHits, static_cast<std::uint64_t>(Memoized));
+  EXPECT_EQ(St.CacheLookups, static_cast<std::uint64_t>(N));
+  EXPECT_EQ(St.Coalesced, 0u);
 }
 
 TEST(ServerStress, ShutdownDrainsAdmittedAndRejectsNew) {

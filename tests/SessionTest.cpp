@@ -240,6 +240,42 @@ TEST(Session, RefreshModelsHotReloadsChangedFiles) {
   EXPECT_EQ(Kept.Parts[0].Units, After.Parts[0].Units);
 }
 
+TEST(Session, RefreshKeepsTheModelWhenAFileGetsAHostileCount) {
+  // A served file rewritten to "points -1" used to throw out of the
+  // reader and abort the process; the refresh contract is to keep the
+  // previous model and record a warning.
+  SessionConfig Cfg;
+  auto SR = Session::create(std::move(Cfg));
+  ASSERT_TRUE(SR.ok());
+  Session &S = *SR.value();
+  std::string A = tempPath("session_hostile_a.fpm");
+  std::string B = tempPath("session_hostile_b.fpm");
+  writeModelFile(A, 1200.0);
+  writeModelFile(B, 400.0);
+  std::vector<std::string> Paths = {A, B};
+  ASSERT_TRUE(S.loadModels(Paths).ok());
+  Dist Before = S.partition(1000).value();
+  std::uint64_t Epoch = S.modelEpoch();
+
+  {
+    std::ofstream OS(A);
+    OS << "# fupermod model\nkind piecewise\npoints -1\n";
+  }
+  bumpMTime(A);
+  Result<int> R = S.refreshModels();
+  ASSERT_TRUE(R.ok()) << R.error();
+  EXPECT_EQ(R.value(), 0);
+  EXPECT_EQ(S.modelEpoch(), Epoch);
+  std::vector<std::string> Warnings = S.warnings();
+  ASSERT_EQ(Warnings.size(), 1u);
+  EXPECT_NE(Warnings[0].find("keeping the previous model"), std::string::npos)
+      << Warnings[0];
+  EXPECT_NE(Warnings[0].find("line 3"), std::string::npos) << Warnings[0];
+  Dist After = S.partition(1000).value();
+  EXPECT_EQ(After.Parts[0].Units, Before.Parts[0].Units);
+  EXPECT_EQ(After.Parts[1].Units, Before.Parts[1].Units);
+}
+
 TEST(Session, RefreshModelsCatchesSameMTimeRewrite) {
   // Regression: refreshModels used to key change detection on mtime
   // alone. A rewrite landing within the filesystem timestamp granularity
@@ -336,6 +372,107 @@ TEST(Session, ModelEpochAdvancesOnEveryMutation) {
   EXPECT_NE(Reply.value().Text.find("partitioning of 1000 units"),
             std::string::npos)
       << Reply.value().Text;
+}
+
+namespace {
+
+/// A session over freshly loaded \p Paths.
+std::unique_ptr<Session> loadSession(const std::vector<std::string> &Paths) {
+  SessionConfig Cfg;
+  auto SR = Session::create(std::move(Cfg));
+  EXPECT_TRUE(SR.ok()) << SR.error();
+  EXPECT_TRUE(SR.value()->loadModels(Paths).ok());
+  return std::move(SR.value());
+}
+
+} // namespace
+
+TEST(Session, RepeatedRenderedRequestReplaysTheMemo) {
+  std::string A = tempPath("session_memo_a.fpm");
+  std::string B = tempPath("session_memo_b.fpm");
+  writeModelFile(A, 900.0);
+  writeModelFile(B, 300.0);
+  auto S = loadSession({A, B});
+
+  for (const char *Algorithm : {"", "numerical", "constant"}) {
+    Result<PartitionReply> First = S->partitionRendered(1234, Algorithm);
+    ASSERT_TRUE(First.ok()) << First.error();
+    EXPECT_FALSE(First.value().Memoized) << Algorithm;
+    Result<PartitionReply> Again = S->partitionRendered(1234, Algorithm);
+    ASSERT_TRUE(Again.ok()) << Again.error();
+    EXPECT_TRUE(Again.value().Memoized) << Algorithm;
+    EXPECT_EQ(Again.value().Text, First.value().Text) << Algorithm;
+    EXPECT_EQ(Again.value().Epoch, First.value().Epoch) << Algorithm;
+    ASSERT_EQ(Again.value().D.Parts.size(), First.value().D.Parts.size());
+    for (std::size_t I = 0; I < First.value().D.Parts.size(); ++I)
+      EXPECT_EQ(Again.value().D.Parts[I].Units,
+                First.value().D.Parts[I].Units);
+  }
+  // The default algorithm named explicitly shares the unnamed entry.
+  Result<PartitionReply> Named = S->partitionRendered(1234, "geometric");
+  ASSERT_TRUE(Named.ok()) << Named.error();
+  EXPECT_TRUE(Named.value().Memoized);
+
+  // The per-solve path reads the same answer without rendering it.
+  Result<Dist> Plain = S->partition(1234);
+  ASSERT_TRUE(Plain.ok()) << Plain.error();
+  ASSERT_EQ(Plain.value().Parts.size(), Named.value().D.Parts.size());
+  for (std::size_t I = 0; I < Plain.value().Parts.size(); ++I) {
+    EXPECT_EQ(Plain.value().Parts[I].Units, Named.value().D.Parts[I].Units);
+    EXPECT_EQ(Plain.value().Parts[I].PredictedTime,
+              Named.value().D.Parts[I].PredictedTime);
+  }
+}
+
+TEST(Session, FeedbackRetiresTheMemoizedReply) {
+  std::string A = tempPath("session_memo_fb_a.fpm");
+  std::string B = tempPath("session_memo_fb_b.fpm");
+  writeModelFile(A, 900.0);
+  writeModelFile(B, 300.0);
+  auto S = loadSession({A, B});
+  Result<PartitionReply> Before = S->partitionRendered(2000);
+  ASSERT_TRUE(Before.ok()) << Before.error();
+
+  // Rank 1 reports a much faster measurement at about its share.
+  Point Fast = makePoint(500.0, 0.5);
+  ASSERT_TRUE(S->feedback(1, Fast).ok());
+  Result<PartitionReply> After = S->partitionRendered(2000);
+  ASSERT_TRUE(After.ok()) << After.error();
+  EXPECT_FALSE(After.value().Memoized);
+  EXPECT_EQ(After.value().Epoch, S->modelEpoch());
+  EXPECT_NE(After.value().Text, Before.value().Text);
+
+  auto Fresh = loadSession({A, B});
+  ASSERT_TRUE(Fresh->feedback(1, Fast).ok());
+  Result<PartitionReply> Want = Fresh->partitionRendered(2000);
+  ASSERT_TRUE(Want.ok()) << Want.error();
+  EXPECT_EQ(After.value().Text, Want.value().Text);
+}
+
+TEST(Session, HotReloadRetiresTheMemoizedReply) {
+  std::string A = tempPath("session_memo_reload_a.fpm");
+  std::string B = tempPath("session_memo_reload_b.fpm");
+  writeModelFile(A, 400.0);
+  writeModelFile(B, 400.0);
+  auto S = loadSession({A, B});
+  Result<PartitionReply> Before = S->partitionRendered(1000, "numerical");
+  ASSERT_TRUE(Before.ok()) << Before.error();
+
+  writeModelFile(A, 1200.0);
+  bumpMTime(A);
+  Result<int> Reloaded = S->refreshModels();
+  ASSERT_TRUE(Reloaded.ok()) << Reloaded.error();
+  ASSERT_EQ(Reloaded.value(), 1);
+  Result<PartitionReply> After = S->partitionRendered(1000, "numerical");
+  ASSERT_TRUE(After.ok()) << After.error();
+  EXPECT_FALSE(After.value().Memoized);
+  EXPECT_EQ(After.value().Epoch, S->modelEpoch());
+  EXPECT_NE(After.value().Text, Before.value().Text);
+
+  auto Fresh = loadSession({A, B});
+  Result<PartitionReply> Want = Fresh->partitionRendered(1000, "numerical");
+  ASSERT_TRUE(Want.ok()) << Want.error();
+  EXPECT_EQ(After.value().Text, Want.value().Text);
 }
 
 TEST(Session, ExecuteRunsTheBodyOnThePlatform) {

@@ -27,11 +27,14 @@
 // --workers N serves concurrently: N worker threads drain a bounded
 // request queue (--queue, default 256) with admission control (overload
 // sheds with structured `# rejected: queue_full|deadline|shutting_down`
-// records instead of queueing without bound), optional per-request
-// deadlines (--deadline-ms), coalescing of identical in-flight requests
-// and an LRU partition cache keyed by (model epoch, total, algorithm).
-// Responses are written in request order, byte-identical to the
-// sequential mode's answers.
+// records instead of queueing without bound) and optional per-request
+// deadlines (--deadline-ms). Responses are written in request order,
+// byte-identical to the sequential mode's answers. In both modes a
+// repeat request with unchanged models replays the session's memoized
+// reply; the `# server:` footer counts those memo replays.
+//
+// --total prints the same reply block that --serve prints for that
+// total, rendered by the session.
 //
 // --stats prints the partition latency, the hit rate of the models'
 // memoized inverse-time lookup cache (see Model::sizeForTimeCached), and
@@ -98,6 +101,26 @@ void printTraffic(const engine::Session &Engine) {
               static_cast<unsigned long long>(T.RedistributeBytes));
 }
 
+/// Replays a client adopting \p D: an even-split container migrating to
+/// it (minimal-move redistribute) plus one width-1 halo sweep. Returns
+/// the run's comm counters — the cost of adopting the answer.
+SpmdResult replayAdoption(const Dist &D) {
+  Dist Even = Dist::even(D.Total, static_cast<int>(D.Parts.size()));
+  return runSpmd(
+      static_cast<int>(D.Parts.size()),
+      [&](Comm &C) {
+        dist::PartitionedVector<double> V(C, Even, 1);
+        V.generate([](std::int64_t U, std::span<double> Row) {
+          Row[0] = static_cast<double>(U);
+        });
+        V.redistribute(D);
+        V.exchangeHalos(1, [](std::int64_t, std::span<double> Row) {
+          Row[0] = 0.0;
+        });
+      },
+      std::make_shared<UniformCostModel>(1e-5, 1e9));
+}
+
 } // namespace
 
 int main(int Argc, char **Argv) {
@@ -134,6 +157,18 @@ int main(int Argc, char **Argv) {
   }
   if (CooldownR.value() < 0) {
     std::fprintf(stderr, "error: --cooldown must be non-negative\n");
+    return 2;
+  }
+  if (WorkersR.value() < 0) {
+    std::fprintf(stderr, "error: --workers must be non-negative\n");
+    return 2;
+  }
+  if (QueueR.value() < 1) {
+    std::fprintf(stderr, "error: --queue must be positive\n");
+    return 2;
+  }
+  if (DeadlineR.value() < 0) {
+    std::fprintf(stderr, "error: --deadline-ms must be non-negative\n");
     return 2;
   }
   std::int64_t Total = TotalR.value();
@@ -195,10 +230,8 @@ int main(int Argc, char **Argv) {
       // straight from the request source (file, stdin, or FIFO pipe).
       engine::ServerConfig SrvCfg;
       SrvCfg.Workers = Workers;
-      SrvCfg.QueueCapacity =
-          static_cast<std::size_t>(std::max<std::int64_t>(1, QueueR.value()));
-      SrvCfg.DefaultDeadline = std::chrono::milliseconds(
-          std::max<std::int64_t>(0, DeadlineR.value()));
+      SrvCfg.QueueCapacity = static_cast<std::size_t>(QueueR.value());
+      SrvCfg.DefaultDeadline = std::chrono::milliseconds(DeadlineR.value());
       engine::Server Srv(Engine, SrvCfg);
       St = engine::serveStream(Srv, IS, std::cout);
       Srv.shutdown();
@@ -206,11 +239,10 @@ int main(int Argc, char **Argv) {
       std::printf("# served %d request(s), %d failed, %d rejected, "
                   "%d model reload(s)\n",
                   St.Answered, St.Failed, St.Rejected, St.Reloaded);
-      std::printf("# server: %d workers, queue %zu, %llu coalesced, "
-                  "%llu cache hits / %llu lookups, shed "
+      std::printf("# server: %d workers, queue %zu, %llu memo replays / "
+                  "%llu lookups, shed "
                   "queue_full=%llu deadline=%llu shutting_down=%llu\n",
                   Workers, SrvCfg.QueueCapacity,
-                  static_cast<unsigned long long>(SrvSt.Coalesced),
                   static_cast<unsigned long long>(SrvSt.CacheHits),
                   static_cast<unsigned long long>(SrvSt.CacheLookups),
                   static_cast<unsigned long long>(SrvSt.ShedQueueFull),
@@ -245,23 +277,7 @@ int main(int Argc, char **Argv) {
           Result<Dist> Answer = Engine.partition(Req.Total, Req.Algorithm);
           if (!Answer)
             continue; // Already reported as a per-request error.
-          const Dist &D = Answer.value();
-          int P = static_cast<int>(D.Parts.size());
-          Dist Even = Dist::even(D.Total, P);
-          SpmdResult Adopt = runSpmd(
-              P,
-              [&](Comm &C) {
-                dist::PartitionedVector<double> V(C, Even, 1);
-                V.generate([](std::int64_t U, std::span<double> Row) {
-                  Row[0] = static_cast<double>(U);
-                });
-                V.redistribute(D);
-                V.exchangeHalos(1, [](std::int64_t, std::span<double> Row) {
-                  Row[0] = 0.0;
-                });
-              },
-              std::make_shared<UniformCostModel>(1e-5, 1e9));
-          Engine.recordCommTraffic(Adopt.Comm);
+          Engine.recordCommTraffic(replayAdoption(Answer.value()).Comm);
         }
       }
       printTraffic(Engine);
@@ -270,25 +286,17 @@ int main(int Argc, char **Argv) {
   }
 
   auto PartitionStart = std::chrono::steady_clock::now();
-  Result<Dist> OutR = Engine.partition(Total);
-  if (!OutR) {
-    std::fprintf(stderr, "error: %s\n", OutR.error().c_str());
+  Result<engine::PartitionReply> ReplyR = Engine.partitionRendered(Total);
+  if (!ReplyR) {
+    std::fprintf(stderr, "error: %s\n", ReplyR.error().c_str());
     return 1;
   }
   double PartitionSeconds =
       std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                     PartitionStart)
           .count();
-  const Dist &Out = OutR.value();
-
-  std::printf("# %s partitioning of %lld units over %zu processes\n",
-              Algorithm.c_str(), static_cast<long long>(Total),
-              Files.size());
-  for (std::size_t I = 0; I < Out.Parts.size(); ++I)
-    std::printf("rank %-3zu units %-10lld predicted_time %.6f  (%s)\n", I,
-                static_cast<long long>(Out.Parts[I].Units),
-                Out.Parts[I].PredictedTime, Files[I].c_str());
-  std::printf("# max predicted time: %.6f\n", Out.maxPredictedTime());
+  const Dist &Out = ReplyR.value().D;
+  std::fputs(ReplyR.value().Text.c_str(), stdout);
 
   if (Stats) {
     // Lifetime counters of the memoized inverse-time lookups the
@@ -296,7 +304,7 @@ int main(int Argc, char **Argv) {
     // plus how many memoized entries fit changes evicted (full wipes and
     // ranged invalidations count the same way: entries dropped).
     std::uint64_t Lookups = 0, CacheHits = 0, Invalidations = 0;
-    for (Model *M : Engine.activeModels()) {
+    for (const Model *M : Engine.activeModels()) {
       Lookups += M->cacheLookups();
       CacheHits += M->cacheHits();
       Invalidations += M->cacheInvalidations();
@@ -340,33 +348,12 @@ int main(int Argc, char **Argv) {
                 static_cast<unsigned long long>(
                     Handout.Comm.ChannelsCreated));
 
-    // Adoption cost: replay an even-split PartitionedVector migrating to
-    // the computed distribution (the interval-overlap plan moves the
-    // analytic minimum) followed by one width-1 halo sweep. Both paths
-    // are zero-copy, so physical copies must stay 0.
-    int P = static_cast<int>(Files.size());
-    Dist Even;
-    for (int R = 0; R < P; ++R) {
-      Part Pt;
-      Pt.Units = Total / P + (R < Total % P ? 1 : 0);
-      Even.Parts.push_back(Pt);
-      Even.Total += Pt.Units;
-    }
+    // Adoption cost (the interval-overlap plan moves the analytic
+    // minimum). Both paths are zero-copy, so physical copies must stay 0.
     std::int64_t MinUnits = dist::minimalTransferUnits(
-        Even.contiguousStarts(), Out.contiguousStarts());
-    SpmdResult Adopt = runSpmd(
-        P,
-        [&](Comm &C) {
-          dist::PartitionedVector<double> V(C, Even, 1);
-          V.generate([](std::int64_t U, std::span<double> Row) {
-            Row[0] = static_cast<double>(U);
-          });
-          V.redistribute(Out);
-          V.exchangeHalos(1, [](std::int64_t, std::span<double> Row) {
-            Row[0] = 0.0;
-          });
-        },
-        std::make_shared<UniformCostModel>(1e-5, 1e9));
+        Dist::even(Total, static_cast<int>(Files.size())).contiguousStarts(),
+        Out.contiguousStarts());
+    SpmdResult Adopt = replayAdoption(Out);
     std::printf("# stats: adopting the distribution from an even split: "
                 "redistribute bytes %llu (analytic minimum %llu), halo "
                 "bytes %llu per width-1 sweep, bytes physically copied "
