@@ -115,7 +115,11 @@ void Model::update(Point P) {
       double W1 = Weights[I];
       double W2 = static_cast<double>(P.Reps);
       Existing.Time = (Existing.Time * W1 + P.Time * W2) / (W1 + W2);
-      Existing.Reps += P.Reps;
+      // Saturate: a hostile model file can repeat a size with counts
+      // near INT_MAX.
+      Existing.Reps = static_cast<int>(
+          std::min<long long>(std::numeric_limits<int>::max(),
+                              static_cast<long long>(Existing.Reps) + P.Reps));
       Existing.ConfidenceInterval =
           std::max(Existing.ConfidenceInterval, P.ConfidenceInterval);
       Weights[I] = W1 + W2;

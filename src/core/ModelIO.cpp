@@ -98,7 +98,7 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
                                                  "'kind <name>')"));
       HaveKind = true;
     } else if (Key == "limit") {
-      if (!readToken(LS, Limit) || !(Limit > 0.0) || !atLineEnd(LS))
+      if (!readToken(LS, Limit) || Limit <= 0.0 || !atLineEnd(LS))
         return readFailed(Err, lineError(LineNo, "malformed limit (expected "
                                                  "'limit <positive size>')"));
     } else if (Key == "points") {
@@ -121,6 +121,8 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
   std::unique_ptr<Model> M = makeModel(Kind, &KindErr);
   if (!M)
     return readFailed(Err, KindErr);
+  const std::string MalformedPoint =
+      "malformed point (expected 'units time reps ci [weight]')";
   std::vector<double> Weights;
   for (std::size_t I = 0; I < Count; ++I) {
     if (!std::getline(IS, Line))
@@ -131,9 +133,7 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     Point P;
     if (!readToken(LS, P.Units) || !readToken(LS, P.Time) ||
         !readToken(LS, P.Reps) || !readToken(LS, P.ConfidenceInterval))
-      return readFailed(Err, lineError(LineNo, "malformed point (expected "
-                                               "'units time reps ci "
-                                               "[weight]')"));
+      return readFailed(Err, lineError(LineNo, MalformedPoint));
     if (P.Units <= 0.0 || P.Time <= 0.0 || P.Reps <= 0)
       return readFailed(Err, lineError(LineNo, "non-positive units, time, "
                                                "or reps"));
@@ -141,9 +141,7 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     std::string WeightTok;
     if (LS >> WeightTok) {
       if (!parseToken(WeightTok, W) || !atLineEnd(LS))
-        return readFailed(Err, lineError(LineNo, "malformed point (expected "
-                                                 "'units time reps ci "
-                                                 "[weight]')"));
+        return readFailed(Err, lineError(LineNo, MalformedPoint));
       if (W <= 0.0)
         return readFailed(Err, lineError(LineNo, "non-positive point "
                                                  "weight"));
@@ -151,8 +149,8 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     Weights.push_back(W);
     M->update(P);
     // writeModel saves distinct sizes in ascending order. update() would
-    // merge a repeated size (summing hostile repetition counts) or sort
-    // an out-of-order one away from its saved weight.
+    // merge a repeated size or sort an out-of-order one away from its
+    // saved weight.
     if (M->points().size() != Weights.size() ||
         M->points().back().Units != P.Units)
       return readFailed(Err, lineError(LineNo, "point sizes must be "

@@ -98,9 +98,9 @@ struct ServerStats {
   std::uint64_t ShedQueueFull = 0;
   std::uint64_t ShedDeadline = 0;
   std::uint64_t ShedShutdown = 0;
-  /// Always 0: the server no longer coalesces identical requests in
-  /// flight (a repeat is a memo replay instead). The field stays until
-  /// the benchmark that reads it stops reporting a coalesced ratio.
+  /// Always 0: identical requests in flight are each passed to the
+  /// session, whose memo answers the repeats. The field stays until the
+  /// benchmark that reads it stops reporting a coalesced ratio.
   std::uint64_t Coalesced = 0;
   /// Requests passed to Session::partitionRendered(), and the replies
   /// that came back Memoized (also counted in Answered or ShedDeadline).

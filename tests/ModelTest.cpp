@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 
 using namespace fupermod;
 
@@ -54,6 +55,12 @@ TEST(ModelUpdate, MergesSameSizePoints) {
   ASSERT_EQ(M.points().size(), 1u);
   EXPECT_DOUBLE_EQ(M.points()[0].Time, 2.0); // Rep-weighted mean.
   EXPECT_EQ(M.points()[0].Reps, 2);
+
+  // Merged repetition counts saturate instead of overflowing.
+  M.update(makePoint(20.0, 1.0, 2000000000));
+  M.update(makePoint(20.0, 1.0, 2000000000));
+  ASSERT_EQ(M.points().size(), 2u);
+  EXPECT_EQ(M.points()[1].Reps, std::numeric_limits<int>::max());
 }
 
 TEST(ModelUpdate, KeepsPointsSorted) {
