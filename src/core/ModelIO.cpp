@@ -2,6 +2,7 @@
 
 #include "core/ModelIO.h"
 
+#include <cctype>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -16,25 +17,18 @@ std::unique_ptr<Model> readFailed(std::string *Err, const std::string &Why) {
   return nullptr;
 }
 
-/// Converts the whole of \p Tok into \p Out: "12abc", a lone "-" and an
-/// out-of-range "1e999" fail instead of leaving a partial, zeroed or
-/// clamped value behind.
-template <class T> bool parseToken(const std::string &Tok, T &Out) {
-  std::istringstream TS(Tok);
-  return (TS >> Out) && TS.eof();
-}
-
-/// Reads the next whitespace-separated token of \p LS into \p Out.
+/// Reads the next whitespace-separated token of \p LS into \p Out. The
+/// whole token must convert: "12abc", a lone "-" and an out-of-range
+/// "1e999" fail instead of leaving a partial, zeroed or clamped value.
 template <class T> bool readToken(std::istream &LS, T &Out) {
-  std::string Tok;
-  return (LS >> Tok) && parseToken(Tok, Out);
+  if (!(LS >> Out))
+    return false;
+  int Next = LS.peek();
+  return Next == std::char_traits<char>::eof() || std::isspace(Next);
 }
 
 /// True when \p LS holds no further token.
-bool atLineEnd(std::istream &LS) {
-  std::string Extra;
-  return !(LS >> Extra);
-}
+bool atLineEnd(std::istream &LS) { return (LS >> std::ws).eof(); }
 
 /// Reads a header's element count ("points N", "parts N"): one
 /// non-negative integer and nothing after it. The count only bounds the
@@ -138,14 +132,10 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
       return readFailed(Err, lineError(LineNo, "non-positive units, time, "
                                                "or reps"));
     double W = static_cast<double>(P.Reps);
-    std::string WeightTok;
-    if (LS >> WeightTok) {
-      if (!parseToken(WeightTok, W) || !atLineEnd(LS))
-        return readFailed(Err, lineError(LineNo, MalformedPoint));
-      if (W <= 0.0)
-        return readFailed(Err, lineError(LineNo, "non-positive point "
-                                                 "weight"));
-    }
+    if (!atLineEnd(LS) && (!readToken(LS, W) || !atLineEnd(LS)))
+      return readFailed(Err, lineError(LineNo, MalformedPoint));
+    if (W <= 0.0)
+      return readFailed(Err, lineError(LineNo, "non-positive point weight"));
     Weights.push_back(W);
     M->update(P);
     // writeModel saves distinct sizes in ascending order. update() would
