@@ -270,6 +270,7 @@ public:
   /// Read-only: models change only through the Session calls that bump
   /// the model epoch.
   const Model *model(int Rank) const;
+  /// Read-only as well: never mutate the slot's model through it.
   const ModelSlot &slot(int Rank) const;
   /// Pointers to the participating (non-excluded) models, with their
   /// rank indices — the exact inputs partition() hands the algorithm.
