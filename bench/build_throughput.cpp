@@ -5,10 +5,10 @@
 // workers on an 8-device simulated cluster (with wall-time emulation, so
 // a measurement costs real blocking time the way a device kernel does),
 // bit-identity of the parallel Point sets against the serial build, the
-// latency + inverse-time cache hit rate of the partitioners over the
-// built models, and the hint-warm repeat-partition path: the same solve
-// re-run through the warm partitioners with a PartitionHint, which must
-// return identical unit counts at a fraction of the cold latency.
+// cold latency of the partitioners over the built models, and the
+// hint-warm repeat-partition path: the same solve re-run through the
+// warm partitioners with a PartitionHint, which must return identical
+// unit counts at a fraction of the cold latency.
 //
 // Output: a table on stdout and BENCH_build_throughput.json in the
 // working directory. With --smoke, runs a tiny configuration and exits
@@ -66,38 +66,21 @@ bool identicalBuilds(const std::vector<BuiltModel> &A,
 
 struct PartitionStats {
   double ColdSeconds = 0.0;
-  double WarmSeconds = 0.0;
-  double HitRate = 0.0;
   bool Ok = true;
 };
 
-/// Times one partitioner cold (fresh caches) and warm (re-run with the
-/// memoized inverse-time lookups populated) and reports the cache rate.
+/// Times one cold solve of a partitioner.
 PartitionStats measurePartition(const Partitioner &Algorithm,
                                 std::int64_t Total,
                                 std::span<Model *const> Models) {
-  for (Model *M : Models)
-    M->clearEvalCache();
   Dist D;
   double T0 = now();
   bool Ok = Algorithm(Total, Models, D);
   double T1 = now();
-  Dist D2;
-  Ok = Algorithm(Total, Models, D2) && Ok;
-  double T2 = now();
 
   PartitionStats S;
-  S.Ok = Ok && D.sum() == Total && D2.sum() == Total;
+  S.Ok = Ok && D.sum() == Total;
   S.ColdSeconds = T1 - T0;
-  S.WarmSeconds = T2 - T1;
-  std::uint64_t Lookups = 0, Hits = 0;
-  for (Model *M : Models) {
-    Lookups += M->cacheLookups();
-    Hits += M->cacheHits();
-  }
-  S.HitRate = Lookups ? static_cast<double>(Hits) /
-                            static_cast<double>(Lookups)
-                      : 0.0;
   return S;
 }
 
@@ -116,8 +99,6 @@ struct WarmStats {
 WarmStats measureWarmPartition(const WarmPartitioner &Algorithm,
                                std::int64_t Total,
                                std::span<Model *const> Models, int Reps) {
-  for (Model *M : Models)
-    M->clearEvalCache();
   PartitionHint Hint;
   Dist Cold;
   double T0 = now();
@@ -212,7 +193,7 @@ int main(int Argc, char **Argv) {
   T.print(std::cout);
   double Speedup8 = Seconds[0] / Seconds[3];
 
-  // Partition latency & cache behaviour over the serial build's models.
+  // Cold partition latency over the serial build's models.
   std::vector<Model *> Models;
   for (BuiltModel &B : Serial)
     Models.push_back(B.M.get());
@@ -230,13 +211,9 @@ int main(int Argc, char **Argv) {
                                         Models, WarmReps);
 
   std::cout << "\npartition latency (geometric): cold "
-            << Geo.ColdSeconds * 1e6 << " us, warm "
-            << Geo.WarmSeconds * 1e6 << " us, cache hit rate "
-            << Geo.HitRate * 100.0 << "%\n"
+            << Geo.ColdSeconds * 1e6 << " us\n"
             << "partition latency (numerical): cold "
-            << Num.ColdSeconds * 1e6 << " us, warm "
-            << Num.WarmSeconds * 1e6 << " us, cache hit rate "
-            << Num.HitRate * 100.0 << "%\n"
+            << Num.ColdSeconds * 1e6 << " us\n"
             << "hint-warm repeat (geometric): " << GeoW.WarmSeconds * 1e6
             << " us (" << GeoW.Speedup << "x cold), units "
             << (GeoW.Identical ? "identical" : "DIVERGED") << "\n"
@@ -261,11 +238,9 @@ int main(int Argc, char **Argv) {
                  "  \"speedup_8_workers\": %.3f,\n"
                  "  \"bit_identical\": %s,\n"
                  "  \"partition\": {\n"
-                 "    \"geometric\": {\"cold_us\": %.2f, \"warm_us\": "
-                 "%.2f, \"cache_hit_rate\": %.4f, \"hint_warm_us\": "
+                 "    \"geometric\": {\"cold_us\": %.2f, \"hint_warm_us\": "
                  "%.3f, \"hint_speedup\": %.1f},\n"
-                 "    \"numerical\": {\"cold_us\": %.2f, \"warm_us\": "
-                 "%.2f, \"cache_hit_rate\": %.4f, \"hint_warm_us\": "
+                 "    \"numerical\": {\"cold_us\": %.2f, \"hint_warm_us\": "
                  "%.3f, \"hint_speedup\": %.1f}\n"
                  "  },\n"
                  "  \"hint_units_identical\": %s\n"
@@ -274,10 +249,8 @@ int main(int Argc, char **Argv) {
                  static_cast<long long>(Total), Seconds[0], Seconds[1],
                  Seconds[2], Seconds[3], Speedup8,
                  Identical ? "true" : "false", Geo.ColdSeconds * 1e6,
-                 Geo.WarmSeconds * 1e6, Geo.HitRate,
                  GeoW.WarmSeconds * 1e6, GeoW.Speedup,
-                 Num.ColdSeconds * 1e6, Num.WarmSeconds * 1e6,
-                 Num.HitRate, NumW.WarmSeconds * 1e6, NumW.Speedup,
+                 Num.ColdSeconds * 1e6, NumW.WarmSeconds * 1e6, NumW.Speedup,
                  GeoW.Identical && NumW.Identical ? "true" : "false");
     std::fclose(J);
     std::cout << "# wrote BENCH_build_throughput.json\n";

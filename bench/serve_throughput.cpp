@@ -177,7 +177,7 @@ int main(int Argc, char **Argv) {
   }
 
   // The request batch: varying totals, mixed algorithms, with repeats so
-  // the long-lived session's inverse-time caches can pay off.
+  // the long-lived session's reply memo can pay off.
   std::vector<engine::ServeRequest> Requests;
   for (int I = 0; I < NumRequests; ++I) {
     engine::ServeRequest Req;

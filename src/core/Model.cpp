@@ -3,7 +3,6 @@
 #include "core/Model.h"
 
 #include <algorithm>
-#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -29,53 +28,10 @@ void Model::bumpFitEpoch() {
   FitEpoch.store(freshFitEpoch(), std::memory_order_relaxed);
 }
 
-double Model::sizeForTimeCached(double T) const {
-  const std::uint64_t Key = std::bit_cast<std::uint64_t>(T);
-  {
-    std::lock_guard<std::mutex> Lock(CacheMutex);
-    ++Lookups;
-    auto It = InverseCache.find(Key);
-    if (It != InverseCache.end()) {
-      ++Hits;
-      return It->second;
-    }
-  }
-  // Compute outside the lock: sizeForTime only reads the fit, and a
-  // concurrent duplicate computation of the same tau is harmless (both
-  // threads insert the identical value).
-  double X = sizeForTime(T);
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  InverseCache.emplace(Key, X);
-  return X;
-}
-
 void Model::timesAt(std::span<const double> Xs, std::span<double> Out) const {
   assert(Xs.size() == Out.size() && "mismatched batch spans");
   for (std::size_t I = 0; I < Xs.size(); ++I)
     Out[I] = timeAt(Xs[I]);
-}
-
-std::uint64_t Model::cacheLookups() const {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Lookups;
-}
-
-std::uint64_t Model::cacheHits() const {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Hits;
-}
-
-std::uint64_t Model::cacheInvalidations() const {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  return Invalidations;
-}
-
-void Model::clearEvalCache() const {
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  InverseCache.clear();
-  Hits = 0;
-  Lookups = 0;
-  Invalidations = 0;
 }
 
 void Model::update(Point P) {
@@ -123,7 +79,7 @@ void Model::update(Point P) {
       Existing.ConfidenceInterval =
           std::max(Existing.ConfidenceInterval, P.ConfidenceInterval);
       Weights[I] = W1 + W2;
-      refitRange(Existing.Units);
+      refitAndBumpEpoch();
       return;
     }
   }
@@ -134,44 +90,11 @@ void Model::update(Point P) {
   Weights.insert(Weights.begin() + (Pos - Points.begin()),
                  static_cast<double>(P.Reps));
   Points.insert(Pos, P);
-  refitRange(P.Units);
+  refitAndBumpEpoch();
 }
 
-void Model::refitAndInvalidate() {
+void Model::refitAndBumpEpoch() {
   refit();
-  // The fit changed: memoized inverse-time results describe the old
-  // curve. Counters survive so benches see lifetime hit rates.
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  Invalidations += InverseCache.size();
-  InverseCache.clear();
-  bumpFitEpoch();
-}
-
-double Model::invalidationLowerBound(double ChangedUnits) const {
-  (void)ChangedUnits;
-  return 0.0;
-}
-
-void Model::refitRange(double ChangedUnits) {
-  refit();
-  // The bound is computed against the *new* fit (refit() above), which
-  // is conservative: surviving entries resolved to sizes the change
-  // provably cannot reach in either the old or the new curve.
-  double Bound = invalidationLowerBound(ChangedUnits);
-  std::lock_guard<std::mutex> Lock(CacheMutex);
-  if (Bound <= 0.0) {
-    Invalidations += InverseCache.size();
-    InverseCache.clear();
-  } else {
-    for (auto It = InverseCache.begin(); It != InverseCache.end();) {
-      if (It->second >= Bound) {
-        It = InverseCache.erase(It);
-        ++Invalidations;
-      } else {
-        ++It;
-      }
-    }
-  }
   bumpFitEpoch();
 }
 
@@ -206,7 +129,7 @@ void Model::decayWeights(double Factor) {
     }
   }
   if (Dropped)
-    refitAndInvalidate();
+    refitAndBumpEpoch();
 }
 
 double Model::timeAt(double X) const {
@@ -244,12 +167,14 @@ double Model::sizeForTime(double T) const {
   if (timeAt(Hi) < T)
     return Hi; // Degenerate model (e.g. flat extrapolation); saturate.
   double Lo = 0.0;
+  // Stop once a step would leave its end where it is: (Lo, Hi) is then a
+  // fixed point, and every remaining step of the 100 would repeat it.
   for (int I = 0; I < 100; ++I) {
     double Mid = 0.5 * (Lo + Hi);
-    if (timeAt(Mid) < T)
-      Lo = Mid;
-    else
-      Hi = Mid;
+    double &End = timeAt(Mid) < T ? Lo : Hi;
+    if (End == Mid)
+      break;
+    End = Mid;
   }
   return 0.5 * (Lo + Hi);
 }
@@ -366,25 +291,6 @@ double PiecewiseModel::sizeForTime(double T) const {
   std::size_t I = static_cast<std::size_t>(It - Ts.begin()) - 1;
   double Frac = (T - Ts[I]) / (Ts[I + 1] - Ts[I]);
   return Xs[I] + Frac * (Xs[I + 1] - Xs[I]);
-}
-
-double PiecewiseModel::invalidationLowerBound(double ChangedUnits) const {
-  // The coarsening pass is a left-to-right running maximum: a change to
-  // the point at knot I can lift (or lower) Ts[I] and cascade rightward,
-  // but knots strictly left of I and the segments between them are
-  // untouched. Inverse-time entries that resolved to sizes below
-  // Xs[I - 2] therefore still describe the current curve — Xs[I - 1]
-  // would already be safe, the extra knot is margin for the segment that
-  // ends at the changed knot. A change at the first or second knot (or a
-  // model with fewer than three knots) affects the left extrapolation
-  // ray, so everything goes.
-  if (Xs.size() < 3)
-    return 0.0;
-  auto It = std::lower_bound(Xs.begin(), Xs.end(), ChangedUnits);
-  std::size_t I = static_cast<std::size_t>(It - Xs.begin());
-  if (I < 2)
-    return 0.0;
-  return Xs[I - 2];
 }
 
 //===----------------------------------------------------------------------===//

@@ -34,10 +34,8 @@
 #include <cstdint>
 #include <limits>
 #include <memory>
-#include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 namespace fupermod {
@@ -104,36 +102,17 @@ public:
   /// the origin at slope 1/T).
   virtual double sizeForTime(double T) const;
 
-  /// Memoized, thread-safe sizeForTime. The geometric bisection and the
-  /// numerical partitioner's geometric warm start re-evaluate the same
-  /// inverse-time lookups (keyed by the candidate completion time tau)
-  /// across calls while the model is unchanged; this caches them. The
-  /// cache is invalidated whenever the fit changes (update(),
-  /// decayWeights()). Safe to call concurrently from several partition
-  /// threads.
-  double sizeForTimeCached(double T) const;
-
   /// Predicted times at many sizes at once (Out.size() == Xs.size()).
   /// The default loops over timeAt(); spline-backed models override it to
   /// reuse segment lookups across sorted query batches.
   virtual void timesAt(std::span<const double> Xs,
                        std::span<double> Out) const;
 
-  /// Lifetime lookup/hit counters of the inverse-time cache (lookups =
-  /// hits + misses); exposed for the throughput bench and tests.
-  std::uint64_t cacheLookups() const;
-  std::uint64_t cacheHits() const;
-
-  /// Lifetime count of memoized inverse-time entries evicted by fit
-  /// changes — each full wipe adds the number of entries it dropped and
-  /// each ranged invalidation adds only the entries actually erased, so
-  /// the counter is comparable across both paths.
-  std::uint64_t cacheInvalidations() const;
-
-  /// Drops all memoized inverse-time entries and resets the counters
-  /// (e.g. between timed bench phases). Does not advance fitEpoch(): the
-  /// fit itself is unchanged.
-  void clearEvalCache() const;
+  /// Always 0: models keep no inverse-time cache. Kept only for
+  /// perfbench's core.inverse_cache_* metrics, and removed together
+  /// with them.
+  std::uint64_t cacheLookups() const { return 0; }
+  std::uint64_t cacheHits() const { return 0; }
 
   /// Monotone identifier of the current fit. Every change that can alter
   /// partitioning results — a refit or a feasibility-cap change — assigns
@@ -156,25 +135,6 @@ protected:
   /// Model-specific refit after Points changed.
   virtual void refit() = 0;
 
-  /// Refits and drops all memoized inverse-time entries (the fit they
-  /// were computed against no longer exists). Advances fitEpoch().
-  void refitAndInvalidate();
-
-  /// Refits after a single point at \p ChangedUnits changed, dropping
-  /// only the memoized inverse-time entries the change can affect: the
-  /// model reports the smallest size whose prediction may have moved
-  /// (invalidationLowerBound()) and entries that resolved to smaller
-  /// sizes survive. Advances fitEpoch(). Equivalent to
-  /// refitAndInvalidate() in results, cheaper on incremental feedback.
-  void refitRange(double ChangedUnits);
-
-  /// Smallest size whose predicted time can change when the experimental
-  /// point at \p ChangedUnits does. The default (0) declares the whole
-  /// curve affected — correct for global fits (constant, linear) and
-  /// non-local interpolants (Akima); PiecewiseModel overrides it because
-  /// its coarsening only cascades rightward.
-  virtual double invalidationLowerBound(double ChangedUnits) const;
-
   /// Stamps a fresh process-wide unique value into fitEpoch(). Called by
   /// the refit paths and by feasibility-cap changes that skip refitting.
   void bumpFitEpoch();
@@ -182,22 +142,16 @@ protected:
   std::vector<Point> Points;
 
 private:
+  /// Refits after Points changed and advances fitEpoch().
+  void refitAndBumpEpoch();
+
   /// Merge weight per point (parallel to Points); initialized to the
   /// point's repetition count and reduced by decayWeights().
   std::vector<double> Weights;
   double MinInfeasible = std::numeric_limits<double>::infinity();
 
-  /// Memoized inverse-time lookups, keyed by the bit pattern of tau so
-  /// that distinct doubles never collide. Guarded by CacheMutex; mutable
-  /// because memoization is observably const.
-  mutable std::mutex CacheMutex;
-  mutable std::unordered_map<std::uint64_t, double> InverseCache;
-  mutable std::uint64_t Hits = 0;
-  mutable std::uint64_t Lookups = 0;
-  mutable std::uint64_t Invalidations = 0;
-
   /// See fitEpoch(); atomic so partition threads can validate warm-start
-  /// hints without taking CacheMutex.
+  /// hints without a lock.
   std::atomic<std::uint64_t> FitEpoch;
 };
 
@@ -232,7 +186,6 @@ public:
 protected:
   double timeImpl(double X) const override;
   void refit() override;
-  double invalidationLowerBound(double ChangedUnits) const override;
 
 private:
   std::vector<double> Xs;

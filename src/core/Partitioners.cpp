@@ -66,15 +66,11 @@ bool solveGeometric(double Total, std::span<Model *const> Models,
                     double SeedTau = 0.0) {
   std::size_t P = Models.size();
   std::vector<double> Caps = feasibleCaps(Models);
-  // The memoized lookup pays off whenever the same tau recurs against an
-  // unchanged model: the numerical partitioner re-runs this whole solve
-  // as its warm start, benches sweep algorithms over the same totals, and
-  // dynamic partitioning re-partitions between model updates.
   auto ShareAt = [&](std::size_t I, double T) {
     double Cap = static_cast<double>(
         std::min<std::int64_t>(maxUnitsUnderCap(Caps[I]),
                                std::int64_t(1) << 62));
-    return std::min(Models[I]->sizeForTimeCached(T), Cap);
+    return std::min(Models[I]->sizeForTime(T), Cap);
   };
   auto SumAt = [&](double T) {
     double Sum = 0.0;
@@ -110,12 +106,14 @@ bool solveGeometric(double Total, std::span<Model *const> Models,
     return true;
   }
 
+  // Same fixed-point exit as Model::sizeForTime: once a step would leave
+  // its end unmoved, the remaining steps cannot change Tau.
   for (int I = 0; I < 100; ++I) {
     double Mid = 0.5 * (Lo + Hi);
-    if (SumAt(Mid) < Total)
-      Lo = Mid;
-    else
-      Hi = Mid;
+    double &End = SumAt(Mid) < Total ? Lo : Hi;
+    if (End == Mid)
+      break;
+    End = Mid;
   }
   Tau = 0.5 * (Lo + Hi);
   for (std::size_t I = 0; I < P; ++I)

@@ -7,9 +7,9 @@
 /// \file
 /// Partition serving for `partitioner --serve`: one long-lived Session
 /// loads the models once and answers many (total, algorithm) requests,
-/// amortising the model loads/refits and keeping the inverse-time caches
-/// warm across requests. Model files that change on disk between
-/// requests are hot-reloaded ((mtime, size, content-hash) fingerprint).
+/// amortising the model loads/refits and replaying the memoized reply of
+/// a repeat request. Model files that change on disk between requests
+/// are hot-reloaded ((mtime, size, content-hash) fingerprint).
 ///
 /// Request format, one request per line:
 ///

@@ -51,7 +51,8 @@ std::future<ServerResponse> Server::submit(ServerRequest Req) {
       J.Req.Timeout.count() > 0
           ? J.Req.Timeout
           : std::chrono::nanoseconds(Config.DefaultDeadline);
-  if (Budget.count() > 0) {
+  // A budget that reaches past the clock's range can never expire.
+  if (Budget.count() > 0 && Budget < Clock::time_point::max() - J.Submitted) {
     J.HasDeadline = true;
     J.Deadline = J.Submitted + Budget;
   }

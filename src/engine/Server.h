@@ -116,7 +116,7 @@ struct ServerConfig {
   /// Bounded queue capacity; submissions beyond it are shed.
   std::size_t QueueCapacity = 256;
   /// Default latency budget for requests that carry none; zero = no
-  /// deadline.
+  /// deadline. Must fit std::chrono::nanoseconds.
   std::chrono::milliseconds DefaultDeadline{0};
   /// Artificial per-solve delay — test/bench instrumentation that
   /// stands in for a slow solve, to make queue-full shedding and

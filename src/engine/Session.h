@@ -7,9 +7,8 @@
 /// \file
 /// The long-lived partition engine behind the apps, tools and examples.
 /// A Session owns one measure -> model -> partition pipeline: the
-/// (simulated) platform, one performance-model slot per rank, and the
-/// models' inverse-time caches. It exposes the pipeline as explicit
-/// phases —
+/// (simulated) platform and one performance-model slot per rank. It
+/// exposes the pipeline as explicit phases —
 ///
 ///   measure   benchmark devices and fit models (three measurement modes:
 ///             parallel campaign, synchronised in-SPMD, native kernel);

@@ -2,9 +2,13 @@
 
 #include "sim/ClusterIO.h"
 
-#include <fstream>
+#include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 using namespace fupermod;
 
@@ -56,9 +60,14 @@ bool parseDevice(std::istringstream &LS, Cluster &Out, std::string *Error) {
   return true;
 }
 
-/// Parses one `fault <rank> <kind> ...` line; appends to \p Out.Faults.
-/// Rank bounds are checked by the caller once all devices are known.
-bool parseFault(std::istringstream &LS, Cluster &Out, std::string *Error) {
+/// A parsed fault line, attached once every device is known.
+using PendingFault = std::pair<int, FaultEvent>;
+
+/// Parses one `fault <rank> <kind> ...` line; appends to \p Faults. The
+/// caller checks the rank against the devices before attaching it:
+/// Cluster::addFault sizes its table by the rank.
+bool parseFault(std::istringstream &LS, std::vector<PendingFault> &Faults,
+                std::string *Error) {
   int Rank = -1;
   std::string Kind;
   if (!(LS >> Rank >> Kind) || Rank < 0)
@@ -94,7 +103,20 @@ bool parseFault(std::istringstream &LS, Cluster &Out, std::string *Error) {
   } else {
     return fail(Error, "unknown fault kind '" + Kind + "'");
   }
-  Out.addFault(Rank, E);
+  Faults.emplace_back(Rank, E);
+  return true;
+}
+
+/// Stores an integral equalize knob in [Min, INT_MAX]. The range check
+/// precedes the cast, which is undefined for values an int cannot hold.
+bool intKnob(const std::string &Key, double Value, int Min, int &Slot,
+             std::string *Error) {
+  const int Max = std::numeric_limits<int>::max();
+  if (!(Value >= Min && Value <= Max) || std::trunc(Value) != Value)
+    return fail(Error, "equalize " + Key + " must be an integer in [" +
+                           std::to_string(Min) + ", " +
+                           std::to_string(Max) + "]");
+  Slot = static_cast<int>(Value);
   return true;
 }
 
@@ -114,7 +136,6 @@ bool parseEqualize(std::istringstream &LS, Cluster &Out, std::string *Error) {
     double Value = 0.0;
     if (!(LS >> Value))
       return fail(Error, "equalize knob '" + Key + "' needs a value");
-    bool Integral = Value == static_cast<double>(static_cast<long>(Value));
     if (Key == "threshold") {
       if (Value < 0.0)
         return fail(Error, "equalize threshold must be non-negative");
@@ -124,27 +145,21 @@ bool parseEqualize(std::istringstream &LS, Cluster &Out, std::string *Error) {
         return fail(Error, "equalize clear threshold must be non-negative");
       E.ClearThreshold = Value;
     } else if (Key == "cooldown") {
-      if (Value < 0.0 || !Integral)
-        return fail(Error,
-                    "equalize cooldown must be a non-negative integer");
-      E.Cooldown = static_cast<int>(Value);
+      if (!intKnob(Key, Value, 0, E.Cooldown, Error))
+        return false;
     } else if (Key == "breaches") {
-      if (Value < 1.0 || !Integral)
-        return fail(Error, "equalize breaches must be a positive integer");
-      E.MinBreaches = static_cast<int>(Value);
+      if (!intKnob(Key, Value, 1, E.MinBreaches, Error))
+        return false;
     } else if (Key == "alpha") {
       if (!(Value > 0.0) || Value > 1.0)
         return fail(Error, "equalize alpha must be in (0, 1]");
       E.EwmaAlpha = Value;
     } else if (Key == "period") {
-      if (Value < 1.0 || !Integral)
-        return fail(Error, "equalize period must be a positive integer");
-      E.Period = static_cast<int>(Value);
+      if (!intKnob(Key, Value, 1, E.Period, Error))
+        return false;
     } else if (Key == "horizon") {
-      if (Value < 0.0 || !Integral)
-        return fail(Error,
-                    "equalize horizon must be a non-negative integer");
-      E.HorizonRounds = static_cast<int>(Value);
+      if (!intKnob(Key, Value, 0, E.HorizonRounds, Error))
+        return false;
     } else {
       return fail(Error, "unknown equalize knob '" + Key + "'");
     }
@@ -159,6 +174,7 @@ std::optional<Cluster> fupermod::parseCluster(std::istream &IS,
   Cluster Out;
   Out.Devices.clear();
   Out.NodeOfRank.clear();
+  std::vector<PendingFault> Faults;
   std::string Line;
   while (std::getline(IS, Line)) {
     std::size_t Hash = Line.find('#');
@@ -205,7 +221,7 @@ std::optional<Cluster> fupermod::parseCluster(std::istream &IS,
       if (!parseDevice(LS, Out, Error))
         return std::nullopt;
     } else if (Key == "fault") {
-      if (!parseFault(LS, Out, Error))
+      if (!parseFault(LS, Faults, Error))
         return std::nullopt;
     } else if (Key == "equalize") {
       if (!parseEqualize(LS, Out, Error))
@@ -219,9 +235,12 @@ std::optional<Cluster> fupermod::parseCluster(std::istream &IS,
     fail(Error, "cluster has no devices");
     return std::nullopt;
   }
-  if (Out.Faults.size() > Out.Devices.size()) {
-    fail(Error, "fault line references a rank with no device");
-    return std::nullopt;
+  for (const auto &[Rank, E] : Faults) {
+    if (static_cast<std::size_t>(Rank) >= Out.Devices.size()) {
+      fail(Error, "fault line references a rank with no device");
+      return std::nullopt;
+    }
+    Out.addFault(Rank, E);
   }
   for (const auto &[Node, Link] : Out.NodeIntra) {
     (void)Link;

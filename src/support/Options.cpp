@@ -3,6 +3,7 @@
 #include "support/Options.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdlib>
 
 using namespace fupermod;
@@ -75,9 +76,13 @@ Result<std::int64_t> Options::checkedInt(const std::string &Key,
   if (It->second.empty())
     return R::failure("option --" + Key + " requires an integer value");
   char *End = nullptr;
+  errno = 0;
   long long V = std::strtoll(It->second.c_str(), &End, 10);
   if (!End || *End != '\0')
     return R::failure("option --" + Key + ": expected an integer, got '" +
+                      It->second + "'");
+  if (errno == ERANGE)
+    return R::failure("option --" + Key + ": integer out of range, got '" +
                       It->second + "'");
   return static_cast<std::int64_t>(V);
 }

@@ -48,9 +48,10 @@ public:
   std::int64_t getInt(const std::string &Key, std::int64_t Default) const;
 
   /// Strict numeric accessors: an absent key yields \p Default, but a
-  /// value that is present and not fully numeric is an error naming the
-  /// option and the offending text — the tools print it verbatim and
-  /// exit nonzero instead of silently running with the default.
+  /// value that is present and not fully numeric (or, for checkedInt,
+  /// outside the int64 range) is an error naming the option and the
+  /// offending text — the tools print it verbatim and exit nonzero
+  /// instead of silently running with the default.
   Result<std::int64_t> checkedInt(const std::string &Key,
                                   std::int64_t Default) const;
   Result<double> checkedDouble(const std::string &Key, double Default) const;

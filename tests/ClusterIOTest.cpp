@@ -134,6 +134,8 @@ TEST(ClusterIO, RejectsMalformedFaults) {
       "device 0 constant a 10\nfault 0 slowdown 5 0\n", // Zero factor.
       "device 0 constant a 10\nfault 0 hang 0 -5\n",  // Negative hang.
       "device 0 constant a 10\nfault -1 fail 0\n",    // Negative rank.
+      // A rank far past the devices, rejected before any table is sized.
+      "device 0 cpu core0 800 25 2000 300 0.55\nfault 2000000000 fail 0\n",
   };
   for (const char *Text : Bad) {
     std::istringstream IS(Text);
@@ -265,11 +267,15 @@ TEST(ClusterIO, RejectsMalformedEqualizeLines) {
        "cooldown"},
       {"device 0 constant a 1\nequalize threshold cooldown 1.5\n",
        "cooldown"},
+      {"device 0 constant a 1\nequalize threshold cooldown 3000000000\n",
+       "cooldown"},
       {"device 0 constant a 1\nequalize threshold breaches 0\n",
        "breaches"},
       {"device 0 constant a 1\nequalize threshold alpha 0\n", "alpha"},
       {"device 0 constant a 1\nequalize threshold alpha 1.5\n", "alpha"},
       {"device 0 constant a 1\nequalize every period 0\n", "period"},
+      {"device 0 constant a 1\nequalize every period 4294967297\n",
+       "period"},
       {"device 0 constant a 1\nequalize arbitrated horizon -1\n",
        "horizon"},
       {"device 0 constant a 1\nequalize arbitrated frobnicate 3\n",

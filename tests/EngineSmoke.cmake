@@ -174,9 +174,11 @@ if(Rc EQUAL 0 OR NOT Err MATCHES "unknown option --exlpain")
 endif()
 # Serve knobs out of range are usage errors, not silently replaced.
 foreach(Bad "--workers;-2;--workers must be non-negative"
+            "--workers;4294967297;--workers must be at most 2147483647"
             "--queue;-5;--queue must be positive"
             "--queue;0;--queue must be positive"
-            "--deadline-ms;-1;--deadline-ms must be non-negative")
+            "--deadline-ms;-1;--deadline-ms must be non-negative"
+            "--deadline-ms;18446744073710;--deadline-ms must be at most")
   list(GET Bad 0 Flag)
   list(GET Bad 1 Value)
   list(GET Bad 2 Message)

@@ -3,10 +3,14 @@
 #include "core/Model.h"
 
 #include "sim/DeviceProfile.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <limits>
 
 using namespace fupermod;
@@ -20,6 +24,27 @@ Point makePoint(double Units, double Time, int Reps = 3) {
   P.Reps = Reps;
   P.ConfidenceInterval = 0.0;
   return P;
+}
+
+/// Model::sizeForTime's search without the fixed-point exit: bracket by
+/// doubling, then always run all 100 bisection steps.
+double fullBisection(const Model &M, double T) {
+  if (T <= 0.0)
+    return 0.0;
+  double Hi = std::max(1.0, M.points().back().Units);
+  for (int I = 0; I < 200 && M.timeAt(Hi) < T; ++I)
+    Hi *= 2.0;
+  if (M.timeAt(Hi) < T)
+    return Hi;
+  double Lo = 0.0;
+  for (int I = 0; I < 100; ++I) {
+    double Mid = 0.5 * (Lo + Hi);
+    if (M.timeAt(Mid) < T)
+      Lo = Mid;
+    else
+      Hi = Mid;
+  }
+  return 0.5 * (Lo + Hi);
 }
 
 /// Feeds a model with exact points of a device profile.
@@ -189,6 +214,29 @@ TEST(AkimaModel, SizeForTimeFindsCrossing) {
   M.update(makePoint(40.0, 4.0));
   double X = M.sizeForTime(3.0);
   EXPECT_NEAR(M.timeAt(X), 3.0, 1e-6);
+
+  // The bisection stops at its fixed point, so it must return the very
+  // double that all 100 steps of the full search return — over monotone
+  // and non-monotone fits alike.
+  for (std::uint64_t Case = 0; Case < 8; ++Case) {
+    SplitMix64 Rng(0xa41a0000 + Case);
+    bool Monotone = Case % 2 == 0;
+    AkimaModel A;
+    double Units = 0.0, Time = 0.0;
+    for (int I = 0; I < 6 + static_cast<int>(Case); ++I) {
+      Units += Rng.uniform(10.0, 400.0);
+      Time = Monotone ? Time + Rng.uniform(0.01, 2.0)
+                      : Units * Rng.uniform(0.002, 0.02);
+      A.update(makePoint(Units, Time));
+    }
+    double MaxT = 2.0 * A.timeAt(A.points().back().Units);
+    for (int I = 0; I < 150; ++I) {
+      double T = Rng.uniform(0.0, MaxT);
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(A.sizeForTime(T)),
+                std::bit_cast<std::uint64_t>(fullBisection(A, T)))
+          << "case " << Case << " tau " << T;
+    }
+  }
 }
 
 TEST(LinearModel, ExactOnLinearData) {
@@ -283,96 +331,6 @@ TEST(ModelShape, FunctionalModelsSeeTheCliff) {
     double After = M->speedAt(1100.0);
     EXPECT_GT(Before, 1.5 * After) << Kind;
   }
-}
-
-TEST(InverseCache, CachedLookupMatchesDirectAndCountsHits) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 20.0));
-  M.update(makePoint(4000.0, 120.0));
-
-  for (double T : {0.5, 5.0, 60.0}) {
-    EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T), M.sizeForTime(T));
-    EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T), M.sizeForTime(T)); // hit
-  }
-  EXPECT_EQ(M.cacheLookups(), 6u);
-  EXPECT_EQ(M.cacheHits(), 3u);
-}
-
-TEST(InverseCache, InvalidatedWhenModelRefits) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  double Before = M.sizeForTimeCached(5.0);
-
-  // New measurement changes the fit; a stale cached inverse would now
-  // disagree with the direct computation.
-  M.update(makePoint(500.0, 8.0));
-  double After = M.sizeForTimeCached(5.0);
-  EXPECT_DOUBLE_EQ(After, M.sizeForTime(5.0));
-  EXPECT_NE(Before, After);
-  // Lifetime counters survive invalidation (hit rates stay meaningful).
-  EXPECT_EQ(M.cacheLookups(), 2u);
-}
-
-TEST(InverseCache, DistinguishesBitDistinctKeys) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  double T1 = 5.0;
-  double T2 = std::nextafter(5.0, 6.0); // Adjacent representable value.
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T1), M.sizeForTime(T1));
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(T2), M.sizeForTime(T2));
-  EXPECT_EQ(M.cacheHits(), 0u); // Distinct bit patterns never collide.
-}
-
-TEST(InverseCache, RangedInvalidationPreservesUnaffectedEntries) {
-  // Feedback at a large size must not evict memoized inverses that
-  // resolved well left of the change: piecewise coarsening only cascades
-  // rightward, so PiecewiseModel reports a non-zero invalidation bound.
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  M.update(makePoint(2000.0, 30.0));
-  M.update(makePoint(4000.0, 120.0));
-  M.clearEvalCache();
-
-  const double LowT = 0.5;   // Resolves to ~50, far left of the change.
-  const double HighT = 60.0; // Resolves between the last two knots.
-  M.sizeForTimeCached(LowT);
-  M.sizeForTimeCached(HighT);
-
-  // Repeat measurement at the last knot: only entries at or beyond the
-  // second knot left of it may be dropped.
-  M.update(makePoint(4000.0, 126.0));
-  EXPECT_EQ(M.cacheInvalidations(), 1u);
-
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(LowT), M.sizeForTime(LowT));
-  EXPECT_EQ(M.cacheHits(), 1u); // The low entry survived...
-  EXPECT_DOUBLE_EQ(M.sizeForTimeCached(HighT), M.sizeForTime(HighT));
-  EXPECT_EQ(M.cacheHits(), 1u); // ...the high one was recomputed.
-}
-
-TEST(InverseCache, InvalidationCounterComparableAcrossWipeAndRange) {
-  // Akima has no ranged bound: every update wipes the whole cache, and
-  // the counter must report exactly the entries that wipe dropped — the
-  // same unit the ranged path counts, so `partitioner --stats` can sum
-  // them across model kinds.
-  AkimaModel A;
-  A.update(makePoint(100.0, 1.0));
-  A.update(makePoint(1000.0, 10.0));
-  A.update(makePoint(4000.0, 50.0));
-  for (double T : {0.5, 5.0, 20.0})
-    A.sizeForTimeCached(T);
-  A.update(makePoint(2000.0, 22.0)); // Full wipe: all three entries.
-  EXPECT_EQ(A.cacheInvalidations(), 3u);
-
-  // clearEvalCache resets the counters without touching the fit.
-  std::uint64_t Epoch = A.fitEpoch();
-  A.clearEvalCache();
-  EXPECT_EQ(A.cacheInvalidations(), 0u);
-  EXPECT_EQ(A.cacheLookups(), 0u);
-  EXPECT_EQ(A.fitEpoch(), Epoch);
 }
 
 TEST(FitEpoch, AdvancesOnEveryFitChange) {

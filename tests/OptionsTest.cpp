@@ -89,6 +89,12 @@ TEST(Options, CheckedAccessorsRejectMalformedValues) {
   Result<std::int64_t> E = O.checkedInt("e", 0);
   ASSERT_FALSE(E.ok());
   EXPECT_EQ(E.error(), "option --e requires an integer value");
+  // strtoll saturates out-of-range text; that must not pass as INT64_MAX.
+  Options Big = parse({"prog", "--total", "99999999999999999999"});
+  Result<std::int64_t> T = Big.checkedInt("total", 0);
+  ASSERT_FALSE(T.ok());
+  EXPECT_EQ(T.error(), "option --total: integer out of range, got "
+                       "'99999999999999999999'");
 }
 
 TEST(Options, UnknownKeysFindsMistypedFlags) {

@@ -1,11 +1,13 @@
 //===-- tests/ParserFuzzTest.cpp - seeded mutation test of served parsers -===//
 //
 // The partition server hot-reloads model files and reads request lines
-// from clients, so the parsers behind both must survive hostile input.
-// A fixed-seed mutator derives inputs from a corpus of valid ones —
-// writeModel output for every model kind, a writeDist block and a batch
-// of serve request lines — by byte flips, truncation, duplicated and
-// deleted lines, digit runs, and inserted '-', '#' and huge exponents.
+// from clients, and the builder reads cluster descriptions, so the
+// parsers behind them must survive hostile input. A fixed-seed mutator
+// derives inputs from a corpus of valid ones — writeModel output for
+// every model kind, a writeDist block, a batch of serve request lines
+// and examples/sample.cluster — by byte flips, truncation, duplicated
+// and deleted lines, digit runs, numbers replaced by boundary integers,
+// and inserted '-', '#' and huge exponents.
 //
 // The invariants:
 //
@@ -15,6 +17,8 @@
 //   * parseServeLine: a line yields a request (a positive total or a
 //     reload), nothing (blank or comment-only), or a `request line N:`
 //     error;
+//   * parseCluster: an input yields a cluster, or nothing with a
+//     non-empty diagnostic (there is no cluster writer to round-trip);
 //   * nothing throws. A crash ends the binary; the ASan+UBSan build
 //     runs this test too, so memory errors and undefined behaviour fail
 //     it as well.
@@ -25,14 +29,17 @@
 
 #include "core/ModelIO.h"
 #include "engine/Serve.h"
+#include "sim/ClusterIO.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
 #include <exception>
+#include <fstream>
 #include <sstream>
 #include <string>
+#include <utility>
 #include <vector>
 
 using namespace fupermod;
@@ -99,6 +106,26 @@ private:
     return Out;
   }
 
+  /// Start and length of every whitespace-delimited token that starts
+  /// with a digit.
+  static std::vector<std::pair<std::size_t, std::size_t>>
+  numberTokens(const std::string &Text) {
+    std::vector<std::pair<std::size_t, std::size_t>> Out;
+    std::size_t I = 0;
+    while (I < Text.size()) {
+      while (I < Text.size() &&
+             std::isspace(static_cast<unsigned char>(Text[I])))
+        ++I;
+      std::size_t Start = I;
+      while (I < Text.size() &&
+             !std::isspace(static_cast<unsigned char>(Text[I])))
+        ++I;
+      if (I > Start && std::isdigit(static_cast<unsigned char>(Text[Start])))
+        Out.emplace_back(Start, I - Start);
+    }
+    return Out;
+  }
+
   void insert(std::string &Text, const std::string &What,
               std::string &Recipe, const char *Name) {
     std::size_t At = insertionPoint(Text);
@@ -108,7 +135,7 @@ private:
   }
 
   void mutateOnce(std::string &Text, std::string &Recipe) {
-    switch (below(8)) {
+    switch (below(9)) {
     case 0: { // Byte flip.
       if (Text.empty())
         return;
@@ -152,6 +179,19 @@ private:
     case 6:
       insert(Text, "#", Recipe, "insert");
       return;
+    case 7: { // A number replaced by a boundary integer.
+      static const char *const Boundaries[] = {
+          "-1", "2147483647", "4294967297", "99999999999999999999"};
+      std::vector<std::pair<std::size_t, std::size_t>> Numbers =
+          numberTokens(Text);
+      if (Numbers.empty())
+        return;
+      auto [At, Len] = Numbers[below(Numbers.size())];
+      const char *What = Boundaries[below(4)];
+      Text.replace(At, Len, What);
+      Recipe += "number at " + std::to_string(At) + " -> '" + What + "'; ";
+      return;
+    }
     default: {
       static const char *const Exponents[] = {"e999", "e-999", "e308",
                                               "e-320", "E+400"};
@@ -297,6 +337,22 @@ bool checkServeBatch(const std::string &Text, const std::string &Recipe) {
   return true;
 }
 
+/// The parseCluster invariant for one input.
+bool checkCluster(const std::string &Text, const std::string &Recipe) {
+  try {
+    std::istringstream IS(Text);
+    std::string Err;
+    if (parseCluster(IS, &Err))
+      return true;
+    EXPECT_FALSE(Err.empty()) << describe(Recipe, Text);
+    return !Err.empty();
+  } catch (const std::exception &E) {
+    ADD_FAILURE() << "parseCluster threw " << E.what() << "\n"
+                  << describe(Recipe, Text);
+    return false;
+  }
+}
+
 /// Runs \p Check over the unmutated input and MutantsPerInput mutants.
 template <class CheckFn>
 int fuzz(const std::string &Seed, std::uint64_t RngSeed, CheckFn Check) {
@@ -335,4 +391,12 @@ TEST(ParserFuzz, ServeLinesYieldARequestOrALineNumberedError) {
                             "\n"
                             "250000 geometric\n";
   EXPECT_EQ(fuzz(Batch, 0x5eed0200, checkServeBatch), MutantsPerInput);
+}
+
+TEST(ParserFuzz, ParseClusterYieldsAClusterOrADiagnostic) {
+  std::ifstream IS(FUPERMOD_SOURCE_DIR "/examples/sample.cluster");
+  ASSERT_TRUE(IS);
+  std::ostringstream Sample;
+  Sample << IS.rdbuf();
+  EXPECT_EQ(fuzz(Sample.str(), 0x5eed0300, checkCluster), MutantsPerInput);
 }

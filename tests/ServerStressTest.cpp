@@ -275,6 +275,14 @@ TEST(ServerStress, ExpiredDeadlineIsShedNotAnswered) {
   Req2.Timeout = std::chrono::seconds(30);
   ServerResponse R2 = Srv.submit(std::move(Req2)).get();
   EXPECT_EQ(R2.K, ServerResponse::Kind::Ok) << R2.Message;
+
+  // So is one that reaches past the clock's range (adding it to the
+  // submission time must not wrap into the past).
+  ServerRequest Req3;
+  Req3.Total = 1000;
+  Req3.Timeout = std::chrono::nanoseconds::max();
+  ServerResponse R3 = Srv.submit(std::move(Req3)).get();
+  EXPECT_EQ(R3.K, ServerResponse::Kind::Ok) << R3.Message;
   Srv.shutdown();
   EXPECT_EQ(Srv.stats().ShedDeadline, 1u);
   EXPECT_STREQ(rejectReasonName(RejectReason::Deadline), "deadline");

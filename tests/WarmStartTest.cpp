@@ -15,10 +15,6 @@
 //  4. stale hint after a device was excluded: the size mismatch forces a
 //     full revalidation and re-solve.
 //
-// Plus the cache half of the warm path: Model::refitRange's ranged
-// invalidation never lets sizeForTimeCached serve an answer a model
-// fitted from the same points would not compute.
-//
 //===----------------------------------------------------------------------===//
 
 #include "core/Benchmark.h"
@@ -30,11 +26,46 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <memory>
+#include <span>
 #include <vector>
 
 using namespace fupermod;
 
 namespace {
+
+/// A piecewise model that counts every evaluation the partitioners can
+/// make of it, so a test can prove a memo replay left the models alone.
+class CountingPiecewiseModel : public PiecewiseModel {
+public:
+  double sizeForTime(double T) const override {
+    ++Calls;
+    return PiecewiseModel::sizeForTime(T);
+  }
+  double timeDerivative(double X) const override {
+    ++Calls;
+    return PiecewiseModel::timeDerivative(X);
+  }
+  void timesAt(std::span<const double> Xs,
+               std::span<double> Out) const override {
+    ++Calls;
+    PiecewiseModel::timesAt(Xs, Out);
+  }
+
+  mutable std::uint64_t Calls = 0;
+
+protected:
+  double timeImpl(double X) const override {
+    ++Calls;
+    return PiecewiseModel::timeImpl(X);
+  }
+};
+
+Registrar<ModelRegistry> RegCounting(
+    modelRegistry(), "counting-piecewise", [] {
+      return std::unique_ptr<Model>(
+          std::make_unique<CountingPiecewiseModel>());
+    });
 
 struct BuiltCluster {
   Cluster Cl;
@@ -50,7 +81,7 @@ BuiltCluster buildCluster(int P, std::uint64_t Variant) {
   B.Cl.NoiseSigma = 0.0;
 
   ModelBuildPlan Plan;
-  Plan.Kind = "piecewise";
+  Plan.Kind = "counting-piecewise";
   Plan.MinSize = 64.0;
   Plan.MaxSize = 7000.0;
   Plan.NumPoints = 10;
@@ -71,10 +102,10 @@ Point makePoint(double Units, double Time, int Reps = 3) {
   return P;
 }
 
-std::uint64_t totalLookups(std::span<Model *const> Models) {
+std::uint64_t totalCalls(std::span<Model *const> Models) {
   std::uint64_t Sum = 0;
   for (Model *M : Models)
-    Sum += M->cacheLookups();
+    Sum += static_cast<const CountingPiecewiseModel &>(*M).Calls;
   return Sum;
 }
 
@@ -102,13 +133,13 @@ TEST(WarmStart, EveryHintStateMatchesColdOverRandomClusters) {
           << Name << " first warm call diverged, cluster " << Case;
 
       // 2. Unchanged models: memo replay — identical result, and the
-      // models are provably untouched (no inverse-cache traffic).
-      std::uint64_t Lookups = totalLookups(B.Models);
+      // models are provably untouched (not a single evaluation).
+      std::uint64_t Calls = totalCalls(B.Models);
       Dist W1;
       ASSERT_TRUE(Warm(Total, B.Models, W1, Hint));
       EXPECT_TRUE(W1.sameUnits(C0))
           << Name << " memo replay diverged, cluster " << Case;
-      EXPECT_EQ(totalLookups(B.Models), Lookups)
+      EXPECT_EQ(totalCalls(B.Models), Calls)
           << Name << " memo replay touched the models, cluster " << Case;
 
       // 3. Incremental feedback on one device: the hint is stale (its
@@ -172,39 +203,4 @@ TEST(WarmStart, UnknownAlgorithmStillDiagnosed) {
   WarmPartitioner W = findWarmPartitioner("no-such-algorithm", &Err);
   EXPECT_FALSE(static_cast<bool>(W));
   EXPECT_FALSE(Err.empty());
-}
-
-TEST(WarmStart, RangedInvalidationNeverServesStaleInverses) {
-  // Live interleaves feedback updates with memoized inverse lookups, so
-  // its cache lives across updates and survives only through
-  // PiecewiseModel's ranged invalidation. Mirror receives the same
-  // updates but never caches; any stale surviving entry in Live shows up
-  // as a mismatch against Mirror's direct computation.
-  for (std::uint64_t Case = 0; Case < 50; ++Case) {
-    SplitMix64 Rng(0x7b1f0000 + Case);
-    PiecewiseModel Live, Mirror;
-    std::vector<double> Taus;
-    for (int I = 0; I < 12; ++I)
-      Taus.push_back(Rng.uniform(1e-3, 8.0));
-
-    for (int Step = 0; Step < 40; ++Step) {
-      double Units;
-      if (Step % 4 == 3 && !Live.points().empty())
-        // Repeat measurement at a known size: the merge path, whose
-        // ranged invalidation is keyed to the existing point.
-        Units = Live.points()[static_cast<std::size_t>(Step) %
-                              Live.points().size()]
-                    .Units;
-      else
-        Units = 50.0 + Rng.uniform(0.0, 5000.0);
-      double Time = Units * 1e-3 * (1.0 + Rng.uniform(0.0, 0.5));
-      Live.update(makePoint(Units, Time));
-      Mirror.update(makePoint(Units, Time));
-      for (double T : Taus)
-        ASSERT_DOUBLE_EQ(Live.sizeForTimeCached(T), Mirror.sizeForTime(T))
-            << "case " << Case << " step " << Step << " tau " << T;
-    }
-    // The point of ranged invalidation: entries actually survive updates.
-    EXPECT_GT(Live.cacheHits(), 0u) << "case " << Case;
-  }
 }

@@ -36,13 +36,11 @@
 // --total prints the same reply block that --serve prints for that
 // total, rendered by the session.
 //
-// --stats prints the partition latency, the hit rate of the models'
-// memoized inverse-time lookup cache (see Model::sizeForTimeCached), and
-// the data-movement cost of the distribution: the zero-copy handout
-// broadcast, plus a replay of an even-split container migrating to the
-// computed partition (minimal-move redistribute traffic) and one width-1
-// halo sweep over it — the comm counters an application pays to adopt
-// the answer.
+// --stats prints the partition latency and the data-movement cost of the
+// distribution: the zero-copy handout broadcast, plus a replay of an
+// even-split container migrating to the computed partition (minimal-move
+// redistribute traffic) and one width-1 halo sweep over it — the comm
+// counters an application pays to adopt the answer.
 //
 // --allow-degraded drops ranks whose model is unreadable, corrupt, or
 // unfitted (no successful measurement — e.g. the device failed during
@@ -69,6 +67,7 @@
 #include <cstring>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <memory>
 #include <sstream>
 
@@ -88,6 +87,19 @@ int usage(const char *Program) {
                "[--deadline-ms N] model0.fpm model1.fpm ...\n",
                Program, Program);
   return 2;
+}
+
+/// True when --\p Flag's \p Value lies in [Min, Max]; otherwise prints
+/// the violated bound and returns false.
+bool inRange(const char *Flag, std::int64_t Value, std::int64_t Min,
+             std::int64_t Max) {
+  if (Value < Min)
+    std::fprintf(stderr, "error: --%s must be %s\n", Flag,
+                 Min > 0 ? "positive" : "non-negative");
+  else if (Value > Max)
+    std::fprintf(stderr, "error: --%s must be at most %lld\n", Flag,
+                 static_cast<long long>(Max));
+  return Value >= Min && Value <= Max;
 }
 
 /// The accumulated SPMD traffic of the session's runs, one deterministic
@@ -155,22 +167,19 @@ int main(int Argc, char **Argv) {
                  "error: --imbalance-threshold must be non-negative\n");
     return 2;
   }
-  if (CooldownR.value() < 0) {
-    std::fprintf(stderr, "error: --cooldown must be non-negative\n");
+  // Range checks come before any narrowing: --cooldown and --workers
+  // become ints, and --deadline-ms becomes std::chrono::nanoseconds.
+  constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t DeadlineMaxMs =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::nanoseconds::max())
+          .count();
+  if (!inRange("cooldown", CooldownR.value(), 0, IntMax) ||
+      !inRange("workers", WorkersR.value(), 0, IntMax) ||
+      !inRange("queue", QueueR.value(), 1,
+               std::numeric_limits<std::int64_t>::max()) ||
+      !inRange("deadline-ms", DeadlineR.value(), 0, DeadlineMaxMs))
     return 2;
-  }
-  if (WorkersR.value() < 0) {
-    std::fprintf(stderr, "error: --workers must be non-negative\n");
-    return 2;
-  }
-  if (QueueR.value() < 1) {
-    std::fprintf(stderr, "error: --queue must be positive\n");
-    return 2;
-  }
-  if (DeadlineR.value() < 0) {
-    std::fprintf(stderr, "error: --deadline-ms must be non-negative\n");
-    return 2;
-  }
   std::int64_t Total = TotalR.value();
   std::string Algorithm = Opts.get("algorithm", "geometric");
   std::string ServeFile = Opts.get("serve");
@@ -299,26 +308,7 @@ int main(int Argc, char **Argv) {
   std::fputs(ReplyR.value().Text.c_str(), stdout);
 
   if (Stats) {
-    // Lifetime counters of the memoized inverse-time lookups the
-    // geometric/numerical solvers went through during this partition,
-    // plus how many memoized entries fit changes evicted (full wipes and
-    // ranged invalidations count the same way: entries dropped).
-    std::uint64_t Lookups = 0, CacheHits = 0, Invalidations = 0;
-    for (const Model *M : Engine.activeModels()) {
-      Lookups += M->cacheLookups();
-      CacheHits += M->cacheHits();
-      Invalidations += M->cacheInvalidations();
-    }
-    std::printf("# stats: partition latency %.6f s, inverse-time lookups "
-                "%llu, cache hits %llu (%.1f%%), entries invalidated "
-                "%llu\n",
-                PartitionSeconds,
-                static_cast<unsigned long long>(Lookups),
-                static_cast<unsigned long long>(CacheHits),
-                Lookups ? 100.0 * static_cast<double>(CacheHits) /
-                              static_cast<double>(Lookups)
-                        : 0.0,
-                static_cast<unsigned long long>(Invalidations));
+    std::printf("# stats: partition latency %.6f s\n", PartitionSeconds);
 
     // Comm-side counters: replay the handout of this distribution to the
     // P ranks through the runtime's zero-copy broadcast. Logical traffic
