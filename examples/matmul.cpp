@@ -19,21 +19,32 @@
 #include "support/Table.h"
 
 #include <iostream>
+#include <limits>
 #include <memory>
 
 using namespace fupermod;
 
 int main(int Argc, char **Argv) {
-  Options Opts(Argc, Argv);
-  // --threads T runs each rank's per-step GEMM on T threads (the charged
-  // compute time scales by the modelled thread speedup); --overlap
+  Options Opts(Argc, Argv, {"overlap"});
+  // --threads T models every device as a T-core processor: the charged
+  // compute time scales by the modelled thread speedup, while the real
+  // GEMMs of all ranks share the host's cores either way; --overlap
   // prefetches the next step's pivots while the current GEMM runs.
-  std::int64_t Threads = Opts.getInt("threads", 1);
-  bool Overlap = Opts.has("overlap");
-  if (Threads < 1) {
-    std::cerr << "usage: " << Argv[0] << " [--threads T] [--overlap]\n";
+  const char *Usage = " [--threads T] [--overlap]\n";
+  for (const std::string &Key : Opts.unknownKeys({"threads", "overlap"})) {
+    std::cerr << "error: unknown option --" << Key << "\nusage: " << Argv[0]
+              << Usage;
     return 2;
   }
+  Result<std::int64_t> ThreadsR =
+      Opts.checkedInt("threads", 1, 1, std::numeric_limits<int>::max());
+  if (!ThreadsR) {
+    std::cerr << "error: " << ThreadsR.error() << "\nusage: " << Argv[0]
+              << Usage;
+    return 2;
+  }
+  std::int64_t Threads = ThreadsR.value();
+  bool Overlap = Opts.has("overlap");
 
   std::cout << "Heterogeneous parallel matrix multiplication\n"
             << "============================================\n\n";
@@ -110,7 +121,7 @@ int main(int Argc, char **Argv) {
   if (Overlap)
     std::cout << " (overlapped pivots)";
   if (Threads > 1)
-    std::cout << " (" << Threads << " GEMM threads)";
+    std::cout << " (devices modelled with " << Threads << " GEMM threads)";
   std::cout << "...\n";
   MatMulReport R = runParallelMatMul(Cl, Rects, O);
 

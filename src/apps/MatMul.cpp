@@ -19,12 +19,10 @@ enum : int {
   TagB = 1 << 21,
 };
 
-/// Deterministic content of one b x b block of matrix \p MatId at block
-/// coordinates (\p Row, \p Col); any rank can generate any block, so
-/// ownership never affects the numerical result.
-std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
-  std::vector<double> Block(static_cast<std::size_t>(B) *
-                            static_cast<std::size_t>(B));
+/// Fills \p Block with the deterministic content of the block of matrix
+/// \p MatId at block coordinates (\p Row, \p Col); any rank can generate
+/// any block, so ownership never affects the numerical result.
+void fillBlock(int MatId, int Row, int Col, std::span<double> Block) {
   // The block key wraps modulo 2^32 and is then sign-extended: the
   // two's-complement int arithmetic the generated matrices were defined
   // with, computed without signed overflow.
@@ -36,6 +34,13 @@ std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
                        static_cast<std::uint64_t>(
                            static_cast<std::int32_t>(Key));
   fillDeterministic(Block, Seed);
+}
+
+/// One b x b block, as fillBlock fills it.
+std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
+  std::vector<double> Block(static_cast<std::size_t>(B) *
+                            static_cast<std::size_t>(B));
+  fillBlock(MatId, Row, Col, Block);
   return Block;
 }
 
@@ -103,27 +108,31 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     std::size_t HB = H * static_cast<std::size_t>(B);
     std::size_t WB = W * static_cast<std::size_t>(B);
 
-    std::unique_ptr<ThreadPool> Pool;
-    if (Options.Threads > 1)
-      Pool = std::make_unique<ThreadPool>(Options.Threads - 1);
     double ThreadSpeedup = gemmThreadSpeedup(std::max(1u, Options.Threads));
 
     // Owned storage: A and B are partitioned identically to C. Blocks
     // live in shared payloads so a pivot fan-out can enqueue the same
-    // buffer for every receiver.
+    // buffer for every receiver. The host pool fills them column by
+    // column; they are allocated here, on the rank thread, because
+    // allocating on the pool's workers would grow their malloc arenas.
     auto LocalIndex = [&](int Col, int Row) {
       return static_cast<std::size_t>(Row - R.Y) * W +
              static_cast<std::size_t>(Col - R.X);
     };
+    std::vector<std::vector<double>> AData(H * W, std::vector<double>(BB));
+    std::vector<std::vector<double>> BData(H * W, std::vector<double>(BB));
+    parallelFor(hostPool(), W, [&](std::size_t J) {
+      int Col = R.X + static_cast<int>(J);
+      for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
+        fillBlock(0, Row, Col, AData[LocalIndex(Col, Row)]);
+        fillBlock(1, Row, Col, BData[LocalIndex(Col, Row)]);
+      }
+    });
     std::vector<Payload> ABlocks(H * W);
     std::vector<Payload> BBlocks(H * W);
-    for (int Col = R.X; Col < R.X + R.W; ++Col) {
-      for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
-        ABlocks[LocalIndex(Col, Row)] =
-            Payload::adopt(makeBlock(0, Row, Col, B));
-        BBlocks[LocalIndex(Col, Row)] =
-            Payload::adopt(makeBlock(1, Row, Col, B));
-      }
+    for (std::size_t I = 0; I < H * W; ++I) {
+      ABlocks[I] = Payload::adopt(std::move(AData[I]));
+      BBlocks[I] = Payload::adopt(std::move(BData[I]));
     }
     // The C rectangle is one contiguous (H*B) x (W*B) row-major matrix,
     // updated by a single packed GEMM per step.
@@ -253,11 +262,12 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     // operands and run one GEMM for the whole rectangle,
     //   CRect (H*B x W*B) += APack (H*B x B) * BPack (B x W*B).
     // The GEMM is the register-blocked micro-kernel, row-banded over the
-    // pool when there is one. Every C element still accumulates over the
-    // same l = 0..B-1 in ascending order, so the result is bit-identical
-    // to per-block updates — and to the gemmBlocked reference Verify
-    // checks against. Virtual cost comes from the device profile, scaled
-    // by the modelled multithreaded-GEMM speedup.
+    // process-wide host pool that every rank shares. Every C element
+    // still accumulates over the same l = 0..B-1 in ascending order, so
+    // the result is bit-identical to per-block updates — and to the
+    // gemmBlocked reference Verify checks against. Virtual cost comes
+    // from the device profile, scaled by the modelled multithreaded-GEMM
+    // speedup.
     auto ComputeStep = [&](StepBuffers &Buf) {
       if (H == 0 || W == 0)
         return;
@@ -270,11 +280,8 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
                       Buf.BFrag[J].as<double>().data() +
                           L * static_cast<std::size_t>(B),
                       static_cast<std::size_t>(B) * sizeof(double));
-      if (Pool)
-        gemmParallel(HB, WB, static_cast<std::size_t>(B), APack, BPack,
-                     CRect, *Pool, /*Tile=*/64, /*UseMicro=*/true);
-      else
-        gemmMicro(HB, WB, static_cast<std::size_t>(B), APack, BPack, CRect);
+      gemmParallel(HB, WB, static_cast<std::size_t>(B), APack, BPack, CRect,
+                   hostPool(), /*Tile=*/64, /*UseMicro=*/true);
       double T =
           Dev.measureTime(static_cast<double>(R.area())) / ThreadSpeedup;
       C.compute(T);

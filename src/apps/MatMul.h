@@ -11,23 +11,27 @@
 /// block column of A and pivot block row of B are communicated to the
 /// processes whose rectangles intersect them, and every process updates
 /// its C rectangle with one packed GEMM on the register-blocked
-/// micro-kernel (gemmMicro), bit-identical to the gemmBlocked reference.
+/// micro-kernel, bit-identical to the gemmBlocked reference.
 ///
 /// The computation is performed for real (block GEMMs on real data, so
 /// the result can be verified against a serial product), while per-rank
 /// computation *cost* is charged to the virtual clock from the simulated
-/// device profiles, and communication is costed by the mpp runtime.
+/// device profiles, and communication is costed by the mpp runtime. The
+/// real work of every rank (its per-step GEMM as gemmParallel row bands,
+/// and the generation of its owned blocks) runs on the process-wide
+/// hostPool(), so the host's cores are shared across the ranks instead of
+/// the rank with the largest rectangle doing its share alone.
 ///
-/// Three independent optimisations are switchable per run, and all of
-/// them leave the result matrix bit-identical to the serial schedule:
+/// Three independent options are switchable per run, and all of them
+/// leave the result matrix bit-identical to the serial schedule:
 ///  - ZeroCopy: pivot fan-out enqueues one shared payload per receiver
 ///    instead of deep-copying the block per destination;
 ///  - Overlap: step k+1's pivots are sent and their receives posted
 ///    before step k's GEMM, so the transfer hides behind compute
 ///    (double-buffered pipeline on nonblocking receives);
-///  - Threads: the per-step micro-kernel GEMM runs as gemmParallel row
-///    bands (each band a gemmMicro call), with virtual compute time
-///    scaled by the modelled thread speedup.
+///  - Threads: each simulated device is a Threads-core processor, so its
+///    charged compute time is scaled by the modelled thread speedup. It
+///    changes no real execution.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -55,8 +59,8 @@ struct MatMulOptions {
   bool ZeroCopy = true;
   /// Prefetch step k+1's pivots (irecv) while step k's GEMM runs.
   bool Overlap = false;
-  /// GEMM threads per rank (> 1 runs the micro-kernel as gemmParallel
-  /// row bands and scales the charged compute time by gemmThreadSpeedup).
+  /// GEMM threads of each simulated device: the charged compute time is
+  /// divided by gemmThreadSpeedup(Threads). No rank spawns threads.
   unsigned Threads = 1;
 };
 

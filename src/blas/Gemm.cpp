@@ -9,7 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <future>
+#include <memory>
 #include <vector>
 
 // The AVX2 tile is compiled on every x86 compiler that supports
@@ -84,6 +84,11 @@ constexpr std::size_t NR = 8;
 /// K-strip depth: one packed B panel (KC x NR = 16 KiB) stays L1-resident
 /// while every row block of A streams over it.
 constexpr std::size_t KC = 256;
+/// Row-band height of gemmParallel's micro path: a multiple of MR, so
+/// only the last band can hold the remainder rows a serial call leaves to
+/// the scalar edge.
+constexpr std::size_t BandRows = 32;
+static_assert(BandRows % MR == 0, "bands must hold whole register tiles");
 
 // Both tile bodies accumulate each C element over l ascending with the
 // product and the sum rounded separately, exactly like gemmBlocked, so
@@ -172,6 +177,42 @@ void microEdge(std::size_t I0, std::size_t IMax, std::size_t J0,
   }
 }
 
+/// Packs the K strip [L0, L0 + Kb) of B into \p Packed: panel p holds
+/// columns [p*NR, (p+1)*NR) as a contiguous Kb x NR block, so the tile
+/// streams it with unit stride. Columns past the last full panel are left
+/// to microEdge, which reads B directly.
+void packStrip(std::size_t L0, std::size_t Kb, std::size_t N,
+               const double *B, double *Packed) {
+  for (std::size_t P = 0; P < N / NR; ++P) {
+    double *Dst = Packed + P * Kb * NR;
+    const double *Src = B + L0 * N + P * NR;
+    for (std::size_t L = 0; L < Kb; ++L)
+      std::copy_n(Src + L * N, NR, Dst + L * NR);
+  }
+}
+
+/// Rows [I0, I1) of C += A * B over the K strip [L0, L0 + Kb), whose
+/// panels packStrip wrote to \p Packed. \p I0 is a multiple of MR, so
+/// every row gets the same tile or edge path a call over all rows gives
+/// it.
+void microStripRows(GemmTileFn Tile, std::size_t I0, std::size_t I1,
+                    std::size_t L0, std::size_t Kb, std::size_t N,
+                    std::size_t K, const double *A, const double *B,
+                    const double *Packed, double *C) {
+  const std::size_t NPanels = N / NR;
+  const std::size_t NFull = NPanels * NR;
+  const std::size_t IFull = I0 + (I1 - I0) / MR * MR;
+  for (std::size_t I = I0; I < IFull; I += MR) {
+    const double *ARows = A + I * K + L0;
+    for (std::size_t P = 0; P < NPanels; ++P)
+      Tile(Kb, ARows, K, Packed + P * Kb * NR, C + I * N + P * NR, N);
+    if (NFull < N)
+      microEdge(I, I + MR, NFull, N, L0, Kb, N, K, A, B, C);
+  }
+  if (IFull < I1)
+    microEdge(IFull, I1, 0, N, L0, Kb, N, K, A, B, C);
+}
+
 } // namespace
 
 GemmTileFn fupermod::gemmMicroTile(GemmIsa Isa) {
@@ -203,40 +244,19 @@ void fupermod::gemmMicroWithTile(GemmTileFn Tile, std::size_t M,
                                  std::span<double> C) {
   assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
          "matrix buffers too small");
-  const std::size_t MFull = M - M % MR;
-  const std::size_t NPanels = N / NR;
-  const std::size_t NFull = NPanels * NR;
-
-  // Panel-packed copy of one K strip of B: panel p holds columns
-  // [p*NR, (p+1)*NR) as a contiguous Kb x NR block, so the tile streams
-  // it with unit stride. Thread-local so repeated calls (and the
-  // per-band calls of gemmParallel) reuse the allocation. Sized to the
-  // deepest strip this call packs, so a shallow K (the matmul app's K is
-  // one block edge) does not allocate and zero-fill a full KC strip.
+  // One K strip of B at a time, packed into a thread-local buffer so
+  // repeated calls reuse the allocation. Sized to the deepest strip this
+  // call packs, so a shallow K (the matmul app's K is one block edge)
+  // does not allocate and zero-fill a full KC strip.
   static thread_local std::vector<double> Packed;
-  const std::size_t PackedSize = std::min(K, KC) * NFull;
+  const std::size_t PackedSize = std::min(K, KC) * (N / NR * NR);
   if (Packed.size() < PackedSize)
     Packed.resize(PackedSize);
-
   for (std::size_t L0 = 0; L0 < K; L0 += KC) {
     const std::size_t Kb = std::min(KC, K - L0);
-    for (std::size_t P = 0; P < NPanels; ++P) {
-      double *Dst = Packed.data() + P * Kb * NR;
-      const double *Src = B.data() + L0 * N + P * NR;
-      for (std::size_t L = 0; L < Kb; ++L)
-        std::copy_n(Src + L * N, NR, Dst + L * NR);
-    }
-    for (std::size_t I = 0; I < MFull; I += MR) {
-      const double *ARows = A.data() + I * K + L0;
-      for (std::size_t P = 0; P < NPanels; ++P)
-        Tile(Kb, ARows, K, Packed.data() + P * Kb * NR,
-             C.data() + I * N + P * NR, N);
-      if (NFull < N)
-        microEdge(I, I + MR, NFull, N, L0, Kb, N, K, A.data(), B.data(),
-                  C.data());
-    }
-    if (MFull < M)
-      microEdge(MFull, M, 0, N, L0, Kb, N, K, A.data(), B.data(), C.data());
+    packStrip(L0, Kb, N, B.data(), Packed.data());
+    microStripRows(Tile, 0, M, L0, Kb, N, K, A.data(), B.data(),
+                   Packed.data(), C.data());
   }
 }
 
@@ -248,42 +268,43 @@ void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
   assert(A.size() >= M * K && B.size() >= K * N && C.size() >= M * N &&
          "matrix buffers too small");
   assert(Tile > 0 && "tile must be positive");
-  // The band kernel: either the cache-tiled scalar GEMM or the dispatched
-  // micro-kernel. Both compute every C element in the same per-element
+  // Bands own disjoint row ranges of C and never change any element's
   // accumulation order, so the banded result is bit-identical to one
-  // serial call of either kernel.
-  auto Band = [&](std::size_t Rows, std::span<const double> ABand,
-                  std::span<double> CBand) {
+  // serial call of either kernel. The blocked path bands by whole tiles,
+  // the tiling gemmBlocked would use for those rows.
+  const std::size_t Height = UseMicro ? BandRows : Tile;
+  const std::size_t Bands = (M + Height - 1) / Height;
+  if (Bands <= 1) {
     if (UseMicro)
-      gemmMicro(Rows, N, K, ABand, B, CBand);
+      gemmMicro(M, N, K, A, B, C);
     else
-      gemmBlocked(Rows, N, K, ABand, B, CBand, Tile);
-  };
-  // One band per worker plus one for the calling thread, rounded to whole
-  // tiles so every band runs the same tiling gemmBlocked would use for
-  // those rows. Bands own disjoint row ranges of C — no synchronisation
-  // beyond fork/join is needed and the per-element accumulation order is
-  // unchanged.
-  std::size_t Lanes = static_cast<std::size_t>(Pool.workerCount()) + 1;
-  std::size_t TilesTotal = (M + Tile - 1) / Tile;
-  std::size_t TilesPerBand = (TilesTotal + Lanes - 1) / Lanes;
-  std::size_t BandRows = TilesPerBand * Tile;
-  if (Lanes == 1 || BandRows >= M) {
-    Band(M, A, C);
+      gemmBlocked(M, N, K, A, B, C, Tile);
     return;
   }
-
-  std::vector<std::future<void>> Pending;
-  for (std::size_t Row0 = BandRows; Row0 < M; Row0 += BandRows) {
-    std::size_t Rows = std::min(BandRows, M - Row0);
-    Pending.push_back(Pool.submit([=] {
-      Band(Rows, A.subspan(Row0 * K, Rows * K), C.subspan(Row0 * N, Rows * N));
-    }));
+  if (!UseMicro) {
+    parallelFor(Pool, Bands, [&](std::size_t Band) {
+      std::size_t Row0 = Band * Tile;
+      std::size_t Rows = std::min(Tile, M - Row0);
+      gemmBlocked(Rows, N, K, A.subspan(Row0 * K, Rows * K), B,
+                  C.subspan(Row0 * N, Rows * N), Tile);
+    });
+    return;
   }
-  // The calling thread computes the first band while the pool works.
-  Band(BandRows, A.first(BandRows * K), C.first(BandRows * N));
-  for (auto &F : Pending)
-    F.get();
+  // The caller packs each K strip of B once, and every band's tiles read
+  // that one shared panel; the strips run in order, so each element still
+  // accumulates over l ascending.
+  const GemmTileFn TileFn = microDispatch().Tile;
+  auto Packed =
+      std::make_unique_for_overwrite<double[]>(std::min(K, KC) * (N / NR * NR));
+  for (std::size_t L0 = 0; L0 < K; L0 += KC) {
+    const std::size_t Kb = std::min(KC, K - L0);
+    packStrip(L0, Kb, N, B.data(), Packed.get());
+    parallelFor(Pool, Bands, [&](std::size_t Band) {
+      std::size_t Row0 = Band * BandRows;
+      microStripRows(TileFn, Row0, std::min(M, Row0 + BandRows), L0, Kb, N,
+                     K, A.data(), B.data(), Packed.get(), C.data());
+    });
+  }
 }
 
 double fupermod::gemmThreadSpeedup(unsigned Threads) {

@@ -17,7 +17,8 @@
 ///    implementation and a portable `#pragma omp simd` tile — the
 ///    stand-in for a tuned vendor BLAS;
 ///  - gemmParallel: gemmBlocked (or gemmMicro) over horizontal row bands
-///    on a ThreadPool, the stand-in for a multithreaded BLAS.
+///    spread by parallelFor over a ThreadPool, the stand-in for a
+///    multithreaded BLAS.
 ///
 /// All matrices are row-major and contiguous: C (MxN) += A (MxK) * B (KxN).
 /// Every kernel accumulates each C element over l = 0..K-1 in ascending
@@ -69,13 +70,15 @@ GemmIsa gemmMicroIsa();
 /// Human-readable name of \p Isa ("portable", "avx2").
 const char *gemmIsaName(GemmIsa Isa);
 
-/// C += A * B with the M dimension split into row bands executed on
-/// \p Pool (plus the calling thread's share). Each band runs gemmBlocked
-/// — or gemmMicro when \p UseMicro — with the same tiling, and bands
-/// write disjoint rows of C and never change any element's accumulation
-/// order, so the result is bit-identical to a single serial call of
-/// gemmBlocked or gemmMicro. Falls back to the serial kernel when the
-/// pool has one worker or M is a single band.
+/// C += A * B with the M dimension split into row bands that the calling
+/// thread and \p Pool's workers claim through parallelFor. The blocked
+/// path bands by \p Tile rows and runs gemmBlocked on each band. With
+/// \p UseMicro, the caller packs each K strip of B once and 32-row bands
+/// run the micro-kernel's tiles over that shared panel (\p Tile is then
+/// unused). Bands write disjoint rows of C and never change any element's
+/// accumulation order, so the result is bit-identical to a single serial
+/// call of gemmBlocked or gemmMicro. Runs the serial kernel when M is a
+/// single band.
 void gemmParallel(std::size_t M, std::size_t N, std::size_t K,
                   std::span<const double> A, std::span<const double> B,
                   std::span<double> C, ThreadPool &Pool,
@@ -84,9 +87,9 @@ void gemmParallel(std::size_t M, std::size_t N, std::size_t K,
 /// Modelled speedup of gemmParallel with \p Threads workers: Amdahl's law
 /// with a small serial fraction covering band fork/join and the shared
 /// memory bus. Used to charge virtual compute time for multithreaded
-/// devices (the container pins the runtime to one physical core, so the
-/// thread-scaling curve is modelled rather than measured — see DESIGN.md
-/// §8).
+/// devices: every simulated rank shares the same host cores, so a
+/// device's thread-scaling curve is modelled rather than measured (see
+/// DESIGN.md §8).
 double gemmThreadSpeedup(unsigned Threads);
 
 /// Floating point operations performed by one C += A*B call.

@@ -8,6 +8,7 @@
 #include "engine/Balance.h"
 #include "mpp/Runtime.h"
 
+#include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <mutex>
@@ -61,6 +62,21 @@ std::uint64_t hashFileContents(const std::string &Path) {
   return H;
 }
 
+/// Fails unless \p Prec is one runBenchmark can honour (it only asserts
+/// its repetition bounds, which release builds compile out).
+Status checkPrecision(const char *Caller, const Precision &Prec) {
+  if (Prec.MinReps < 1 || Prec.MaxReps < Prec.MinReps ||
+      !(Prec.TargetRelativeError > 0.0) || !(Prec.TimeLimit > 0.0) ||
+      !(Prec.RepTimeout > 0.0) || Prec.MaxRetries < 0 ||
+      !(Prec.RetryBackoff >= 0.0) || !std::isfinite(Prec.RetryBackoff))
+    return Status::failure(
+        std::string(Caller) +
+        ": invalid precision (need 1 <= min reps <= max reps, positive "
+        "relative error, time limit and repetition timeout, retries >= 0 "
+        "and a finite backoff >= 0)");
+  return okStatus();
+}
+
 } // namespace
 
 Result<std::unique_ptr<Session>> Session::create(SessionConfig Config) {
@@ -95,6 +111,8 @@ Status Session::measure(ModelBuildPlan Plan) {
       Plan.NumPoints < 1 || Plan.Jobs < 1)
     return Status::failure("measure: invalid benchmark plan (need "
                            "0 < min <= max, points >= 1, jobs >= 1)");
+  if (Status S = checkPrecision("measure", Plan.Prec); !S)
+    return S;
   Plan.Kind = Config.ModelKind;
   // The campaign itself runs unlocked (it can take seconds and touches
   // no session state); only installing the results needs exclusivity.
@@ -117,6 +135,8 @@ Status Session::measureSynchronized(const SyncMeasurePlan &Plan) {
         "measureSynchronized: the session has no platform devices");
   if (Plan.Sizes.empty())
     return Status::failure("measureSynchronized: no benchmark sizes");
+  if (Status S = checkPrecision("measureSynchronized", Plan.Prec); !S)
+    return S;
   // Exclusive for the whole SPMD run: rank 0's body writes the slots,
   // and runSpmd's join orders those writes before the unlock.
   std::unique_lock<std::shared_mutex> Lock(StateMutex);
@@ -151,6 +171,8 @@ Status Session::measureNative(const NativeMeasurePlan &Plan) {
       Plan.NumPoints < 1)
     return Status::failure("measureNative: invalid benchmark plan (need "
                            "0 < min <= max, points >= 1)");
+  if (Status S = checkPrecision("measureNative", Plan.Prec); !S)
+    return S;
   std::string Err;
   std::unique_ptr<Kernel> K = makeKernel(Config.KernelName, Config.Kernel,
                                          &Err);

@@ -180,6 +180,12 @@ public:
   const Cluster &platform() const { return Config.Platform; }
 
   /// --- measure -----------------------------------------------------
+  ///
+  /// Every measure call first checks its plan's Precision and fails
+  /// without measuring unless 1 <= MinReps <= MaxReps, the target
+  /// relative error, time limit and repetition timeout are positive,
+  /// MaxRetries is non-negative and RetryBackoff is finite and
+  /// non-negative.
 
   /// Benchmarks every device of the platform per \p Plan (the parallel
   /// model-building campaign; Plan.Kind is overridden by the session's

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <cmath>
 #include <cstdlib>
 
 using namespace fupermod;
@@ -100,6 +101,29 @@ Result<double> Options::checkedDouble(const std::string &Key,
   if (!End || *End != '\0')
     return R::failure("option --" + Key + ": expected a number, got '" +
                       It->second + "'");
+  // strtod parses "nan" and "inf", and overflows "1e999" to infinity.
+  if (!std::isfinite(V))
+    return R::failure("option --" + Key + ": expected a finite number, got '" +
+                      It->second + "'");
+  return V;
+}
+
+Result<std::int64_t> Options::checkedInt(const std::string &Key,
+                                         std::int64_t Default,
+                                         std::int64_t Min,
+                                         std::int64_t Max) const {
+  using R = Result<std::int64_t>;
+  R V = checkedInt(Key, Default);
+  if (!V)
+    return V;
+  if (V.value() < Min)
+    return R::failure("--" + Key + " must be " +
+                      (Min == 0   ? std::string("non-negative")
+                       : Min == 1 ? std::string("positive")
+                                  : "at least " + std::to_string(Min)));
+  if (V.value() > Max)
+    return R::failure("--" + Key + " must be at most " +
+                      std::to_string(Max));
   return V;
 }
 

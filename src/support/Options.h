@@ -48,13 +48,20 @@ public:
   std::int64_t getInt(const std::string &Key, std::int64_t Default) const;
 
   /// Strict numeric accessors: an absent key yields \p Default, but a
-  /// value that is present and not fully numeric (or, for checkedInt,
-  /// outside the int64 range) is an error naming the option and the
-  /// offending text — the tools print it verbatim and exit nonzero
-  /// instead of silently running with the default.
+  /// value that is present and not fully numeric (for checkedInt, outside
+  /// the int64 range; for checkedDouble, not finite) is an error naming
+  /// the option and the offending text — the tools print it verbatim and
+  /// exit nonzero instead of silently running with the default.
   Result<std::int64_t> checkedInt(const std::string &Key,
                                   std::int64_t Default) const;
   Result<double> checkedDouble(const std::string &Key, double Default) const;
+
+  /// checkedInt whose value must also lie in [\p Min, \p Max], so a tool
+  /// can narrow it safely. Out of range is an error naming the option,
+  /// e.g. "--jobs must be positive" or "--jobs must be at most 2147483647".
+  Result<std::int64_t> checkedInt(const std::string &Key,
+                                  std::int64_t Default, std::int64_t Min,
+                                  std::int64_t Max) const;
 
   /// `--key`s that appeared on the command line but are not in \p Known
   /// (so tools can reject mistyped flags instead of ignoring them).

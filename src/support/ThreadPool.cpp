@@ -2,6 +2,9 @@
 
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <atomic>
+#include <exception>
 #include <stdexcept>
 
 using namespace fupermod;
@@ -40,8 +43,9 @@ void ThreadPool::workerLoop() {
       Queue.pop_front();
       ++Running;
     }
-    // A packaged_task captures any exception into its future, so Task()
-    // never throws out of the worker.
+    // A packaged_task captures any exception into its future, and
+    // parallelFor's helpers catch their own, so Task() never throws out
+    // of the worker.
     Task();
     {
       std::lock_guard<std::mutex> Lock(Mutex);
@@ -90,4 +94,77 @@ void ThreadPool::shutdownNow() {
     if (T.joinable())
       T.join();
   Threads.clear();
+}
+
+ThreadPool &fupermod::hostPool() {
+  static ThreadPool Pool(std::max(2u, std::thread::hardware_concurrency()) -
+                         1);
+  return Pool;
+}
+
+namespace {
+
+/// What the caller of parallelFor shares with its helpers. Owned jointly,
+/// so a helper that starts after the caller returned still finds it.
+struct ForLoop {
+  std::atomic<std::size_t> Next{0};
+  std::size_t Count = 0;
+  /// The caller's body; dereferenced only by whoever claimed an index,
+  /// which the caller waits for.
+  const std::function<void(std::size_t)> *Body = nullptr;
+  std::atomic<bool> Failed{false};
+  std::mutex Mutex;
+  std::condition_variable AllDone;
+  std::size_t Finished = 0; // Guarded by Mutex.
+  std::exception_ptr Error; // Guarded by Mutex; the first failure.
+
+  /// Claims and runs indices until none are left, then reports how many
+  /// this lane finished.
+  void drain() {
+    std::size_t Done = 0;
+    for (std::size_t I = Next.fetch_add(1); I < Count;
+         I = Next.fetch_add(1), ++Done) {
+      if (Failed.load())
+        continue;
+      try {
+        (*Body)(I);
+      } catch (...) {
+        std::lock_guard<std::mutex> Lock(Mutex);
+        if (!Error)
+          Error = std::current_exception();
+        Failed.store(true);
+      }
+    }
+    if (Done == 0)
+      return;
+    std::lock_guard<std::mutex> Lock(Mutex);
+    Finished += Done;
+    if (Finished == Count)
+      AllDone.notify_all();
+  }
+};
+
+} // namespace
+
+void fupermod::parallelFor(ThreadPool &Pool, std::size_t Count,
+                           const std::function<void(std::size_t)> &Body) {
+  if (Count == 0)
+    return;
+  auto Loop = std::make_shared<ForLoop>();
+  Loop->Count = Count;
+  Loop->Body = &Body;
+  std::size_t Helpers =
+      std::min<std::size_t>(Pool.workerCount(), Count - 1);
+  try {
+    for (std::size_t H = 0; H < Helpers; ++H)
+      Pool.enqueue([Loop] { Loop->drain(); });
+  } catch (...) {
+    // A stopped pool takes no helpers; the caller's lane below still
+    // claims every index the queued helpers do not.
+  }
+  Loop->drain();
+  std::unique_lock<std::mutex> Lock(Loop->Mutex);
+  Loop->AllDone.wait(Lock, [&] { return Loop->Finished == Count; });
+  if (Loop->Error)
+    std::rethrow_exception(Loop->Error);
 }

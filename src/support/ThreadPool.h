@@ -11,6 +11,10 @@
 /// results retrieved through std::future, so an exception thrown inside a
 /// worker propagates to whoever calls get() — never terminates the pool.
 ///
+/// hostPool() is the one pool the whole process shares for the real
+/// arithmetic of the simulated ranks, and parallelFor() spreads a loop
+/// over the calling thread plus a pool's workers.
+///
 /// Shutdown has two flavours. An explicit shutdown() is a drain: every
 /// task already queued runs to completion before the workers join. The
 /// destructor is a cancel: tasks that are queued but have not started are
@@ -26,6 +30,7 @@
 #define FUPERMOD_SUPPORT_THREADPOOL_H
 
 #include <condition_variable>
+#include <cstddef>
 #include <deque>
 #include <functional>
 #include <future>
@@ -81,6 +86,9 @@ public:
   void shutdownNow();
 
 private:
+  friend void parallelFor(ThreadPool &Pool, std::size_t Count,
+                          const std::function<void(std::size_t)> &Body);
+
   void enqueue(std::function<void()> Task);
   void workerLoop();
 
@@ -92,6 +100,30 @@ private:
   unsigned Running = 0; // Tasks currently executing.
   bool Stopping = false;
 };
+
+/// The process-wide pool that shares the host's cores across every
+/// caller, with max(2, hardware_concurrency()) - 1 workers: the thread
+/// that calls parallelFor() is the extra lane. Built on first use and
+/// joined at exit.
+///
+/// It is one pool for the whole process on purpose, not one per call or
+/// per rank: glibc gives every new thread its own malloc arena, so a
+/// pool built per matmul call grew perfbench's matmul-static peak RSS
+/// from 24.0 to 35.1 MiB on a 4-vCPU Xeon VM (23.8 MiB with
+/// MALLOC_ARENA_MAX=1).
+ThreadPool &hostPool();
+
+/// Runs \p Body(I) once for every I in [0, Count), on the calling thread
+/// and up to min(workers, Count - 1) helper tasks of \p Pool, all claiming
+/// indices from one shared counter. Returns once every claimed index has
+/// finished; it never waits for a helper that has not started, so calling
+/// it from inside one of \p Pool's own tasks cannot deadlock. A helper
+/// that starts late finds nothing left to claim and touches nothing of
+/// the caller's (the shared state is reference-counted). If \p Body
+/// throws, the indices claimed after that are skipped, and the first
+/// exception is rethrown here once all claimed work has finished.
+void parallelFor(ThreadPool &Pool, std::size_t Count,
+                 const std::function<void(std::size_t)> &Body);
 
 } // namespace fupermod
 

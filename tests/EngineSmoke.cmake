@@ -190,9 +190,46 @@ foreach(Bad "--workers;-2;--workers must be non-negative"
                         "(rc ${Rc}):\n${Err}")
   endif()
 endforeach()
+execute_process(COMMAND ${PARTITIONER} --total 100 --imbalance-threshold nan
+                ${WORKDIR}/dev0.fpm RESULT_VARIABLE Rc
+                OUTPUT_QUIET ERROR_VARIABLE Err)
+if(NOT Rc EQUAL 2 OR NOT Err MATCHES
+   "error: option --imbalance-threshold: expected a finite number")
+  message(FATAL_ERROR "partitioner accepted --imbalance-threshold nan "
+                      "(rc ${Rc}):\n${Err}")
+endif()
 execute_process(COMMAND ${BUILDER} --points ten RESULT_VARIABLE Rc
                 OUTPUT_QUIET ERROR_VARIABLE Err)
 if(Rc EQUAL 0 OR NOT Err MATCHES "expected an integer")
   message(FATAL_ERROR "builder accepted --points ten:\n${Err}")
 endif()
+# Builder settings out of range fail before they are narrowed or
+# measured with, naming the option.
+foreach(Bad "--points;3000000000;--points must be at most 2147483647"
+            "--points;4294967297;--points must be at most 2147483647"
+            "--jobs;3000000000;--jobs must be at most 2147483647"
+            "--jobs;4294967297;--jobs must be at most 2147483647"
+            "--threads;4294967297;--threads must be at most 2147483647"
+            "--reps-min;4294967297;--reps-min must be at most 2147483647"
+            "--reps-min;-5;--reps-min must be positive"
+            "--reps-max;0;--reps-max must be positive"
+            "--reps-max;2;--reps-max must be at least --reps-min"
+            "--rank;4294967296;rank 4294967296 out of range"
+            "--time-limit;-1;--time-limit must be positive"
+            "--rel-err;0;--rel-err must be positive"
+            "--noise;-1;--noise must be non-negative"
+            "--min;nan;option --min: expected a finite number"
+            "--max;nan;option --max: expected a finite number"
+            "--max;inf;option --max: expected a finite number")
+  list(GET Bad 0 Flag)
+  list(GET Bad 1 Value)
+  list(GET Bad 2 Message)
+  execute_process(COMMAND ${BUILDER} --source two-device ${Flag} ${Value}
+                  --output ${WORKDIR}/rejected.fpm
+                  RESULT_VARIABLE Rc OUTPUT_QUIET ERROR_VARIABLE Err)
+  if(NOT Rc EQUAL 2 OR NOT Err MATCHES "error: ${Message}")
+    message(FATAL_ERROR "builder accepted ${Flag} ${Value} "
+                        "(rc ${Rc}):\n${Err}")
+  endif()
+endforeach()
 message(STATUS "engine smoke OK")

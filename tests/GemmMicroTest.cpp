@@ -76,20 +76,29 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
 }
 
 TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {
-  // Row bands write disjoint rows and never reorder any element's
-  // accumulation, so the pooled micro path must match serial gemmMicro
-  // exactly.
-  const std::size_t M = 61, N = 40, K = 33;
-  std::vector<double> A(M * K), B(K * N), C0(M * N);
-  fillDeterministic(A, 7);
-  fillDeterministic(B, 8);
-  fillDeterministic(C0, 9);
-
-  std::vector<double> Serial = C0, Banded = C0;
-  gemmMicro(M, N, K, A, B, Serial);
-  ThreadPool Pool(3);
-  gemmParallel(M, N, K, A, B, Banded, Pool, /*Tile=*/16, /*UseMicro=*/true);
-  EXPECT_EQ(maxAbsDiff(Serial, Banded), 0.0);
+  // Row bands write disjoint rows of C over one shared packed panel per K
+  // strip and never reorder any element's accumulation, so the pooled
+  // micro path must match serial gemmMicro byte for byte (memcmp, so a
+  // -0.0 where serial has 0.0 counts too). M covers a single short band,
+  // remainder rows and several bands; N with and without edge columns;
+  // K = 300 sends two KC strips through the shared panel.
+  for (unsigned Workers : {1u, 3u}) {
+    ThreadPool Pool(Workers);
+    for (std::size_t M : {1u, 5u, 61u, 131u})
+      for (std::size_t N : {37u, 40u})
+        for (std::size_t K : {33u, 300u}) {
+          std::vector<double> A(M * K), B(K * N), C0(M * N);
+          fillDeterministic(A, 7 + M);
+          fillDeterministic(B, 8 + N);
+          fillDeterministic(C0, 9 + K);
+          std::vector<double> Serial = C0, Banded = C0;
+          gemmMicro(M, N, K, A, B, Serial);
+          gemmParallel(M, N, K, A, B, Banded, Pool, /*Tile=*/16,
+                       /*UseMicro=*/true);
+          EXPECT_TRUE(bytesEqual(Serial, Banded))
+              << Workers << " workers, " << M << "x" << N << "x" << K;
+        }
+  }
 }
 
 TEST(GemmMicro, DispatchReportsAResolvedIsa) {

@@ -95,6 +95,34 @@ TEST(Options, CheckedAccessorsRejectMalformedValues) {
   ASSERT_FALSE(T.ok());
   EXPECT_EQ(T.error(), "option --total: integer out of range, got "
                        "'99999999999999999999'");
+  // strtod parses these in full, but no option takes a non-finite value;
+  // 1e999 overflows to infinity.
+  for (const char *NonFinite : {"nan", "inf", "1e999"}) {
+    Options F = parse({"prog", "--max", NonFinite});
+    Result<double> Max = F.checkedDouble("max", 1.0);
+    EXPECT_FALSE(Max.ok()) << NonFinite;
+    EXPECT_EQ(Max.error(), std::string("option --max: expected a finite "
+                                       "number, got '") +
+                               NonFinite + "'");
+  }
+}
+
+TEST(Options, RangedCheckedIntNamesTheViolatedBound) {
+  Options O = parse({"prog", "--jobs", "0", "--queue", "-1", "--reps", "2",
+                     "--points", "4294967297", "--n", "ten"});
+  EXPECT_EQ(O.checkedInt("jobs", 1, 1, 8).error(), "--jobs must be positive");
+  EXPECT_EQ(O.checkedInt("queue", 1, 0, 8).error(),
+            "--queue must be non-negative");
+  EXPECT_EQ(O.checkedInt("reps", 3, 3, 8).error(),
+            "--reps must be at least 3");
+  EXPECT_EQ(O.checkedInt("points", 1, 1, 2147483647).error(),
+            "--points must be at most 2147483647");
+  // A malformed value keeps its own diagnostic.
+  EXPECT_EQ(O.checkedInt("n", 1, 1, 8).error(),
+            "option --n: expected an integer, got 'ten'");
+  // The bounds are inclusive, and an absent key yields the default.
+  EXPECT_EQ(O.checkedInt("reps", 3, 2, 2).value(), 2);
+  EXPECT_EQ(O.checkedInt("absent", 5, 1, 8).value(), 5);
 }
 
 TEST(Options, UnknownKeysFindsMistypedFlags) {

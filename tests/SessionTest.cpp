@@ -9,6 +9,7 @@
 
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 using namespace fupermod;
@@ -104,6 +105,45 @@ TEST(Session, MeasureSynchronizedFitsEveryRank) {
   Result<Dist> D = S->partition(1000);
   ASSERT_TRUE(D.ok()) << D.error();
   EXPECT_EQ(D.value().Parts[0].Units + D.value().Parts[1].Units, 1000);
+}
+
+TEST(Session, MeasureCallsRejectAnInvalidPrecision) {
+  // runBenchmark only asserts its precision, and release builds compile
+  // that out, so every measure entry point checks the plan itself.
+  constexpr double Inf = std::numeric_limits<double>::infinity();
+  std::vector<Precision> Bad(7);
+  Bad[0].MaxReps = 0;
+  Bad[1].MinReps = 0;
+  Bad[2].TimeLimit = -1.0;
+  Bad[3].TargetRelativeError = std::numeric_limits<double>::quiet_NaN();
+  Bad[4].RepTimeout = 0.0;
+  Bad[5].MaxRetries = -1;
+  Bad[6].RetryBackoff = Inf;
+  auto S = makeTwoDeviceSession();
+  for (std::size_t I = 0; I < Bad.size(); ++I) {
+    ModelBuildPlan Grid;
+    Grid.MinSize = 100.0;
+    Grid.MaxSize = 200.0;
+    Grid.NumPoints = 2;
+    Grid.Prec = Bad[I];
+    Status M = S->measure(Grid);
+    EXPECT_NE(M.error().find("measure: invalid precision"), std::string::npos)
+        << "precision " << I << ": '" << M.error() << "'";
+
+    SyncMeasurePlan Sync;
+    Sync.Sizes = {100.0};
+    Sync.Prec = Bad[I];
+    EXPECT_FALSE(S->measureSynchronized(Sync).ok()) << I;
+
+    NativeMeasurePlan Native;
+    Native.MinSize = 8.0;
+    Native.MaxSize = 8.0;
+    Native.NumPoints = 1;
+    Native.Prec = Bad[I];
+    EXPECT_FALSE(S->measureNative(Native).ok()) << I;
+  }
+  // Nothing was measured, so no rank has a model.
+  EXPECT_EQ(S->rankCount(), 0);
 }
 
 TEST(Session, FeedbackLoopDrivesPartitioning) {

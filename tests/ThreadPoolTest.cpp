@@ -8,17 +8,24 @@
 // tasks: their futures complete with broken_promise instead of hanging
 // any waiter forever.
 //
+// parallelFor, which the matmul ranks share the host pool through, runs
+// every index exactly once even with several callers on one pool,
+// rethrows a body's exception only after all claimed work has finished,
+// and never waits for a helper that has not started.
+//
 //===----------------------------------------------------------------------===//
 
 #include "support/ThreadPool.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <chrono>
 #include <future>
 #include <numeric>
 #include <stdexcept>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -146,4 +153,82 @@ TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
   ThreadPool Pool(0);
   EXPECT_GE(Pool.workerCount(), 1u);
   EXPECT_EQ(Pool.submit([] { return 3; }).get(), 3);
+}
+
+TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderConcurrentCallers) {
+  // Three callers share one pool, as the matmul rank threads share the
+  // host pool; every count from empty to many indices per lane.
+  ThreadPool Pool(3);
+  const std::size_t Workers = Pool.workerCount();
+  std::vector<std::thread> Callers;
+  std::vector<std::string> Failures(3);
+  for (std::size_t T = 0; T < 3; ++T)
+    Callers.emplace_back([&, T] {
+      for (std::size_t Count : {std::size_t{0}, std::size_t{1}, Workers,
+                                100 * Workers}) {
+        std::vector<std::atomic<int>> Hits(Count);
+        parallelFor(Pool, Count, [&](std::size_t I) {
+          Hits[I].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (std::size_t I = 0; I < Count; ++I)
+          if (Hits[I].load() != 1 && Failures[T].empty())
+            Failures[T] = "caller " + std::to_string(T) + ": index " +
+                          std::to_string(I) + " of " +
+                          std::to_string(Count) + " ran " +
+                          std::to_string(Hits[I].load()) + " times";
+      }
+    });
+  for (std::thread &C : Callers)
+    C.join();
+  for (const std::string &F : Failures)
+    EXPECT_TRUE(F.empty()) << F;
+}
+
+TEST(ParallelFor, ExceptionArrivesAfterAllClaimedWorkFinished) {
+  // Index 0 throws once two other indices are running, so helpers are
+  // still busy when the failure is recorded; the caller must not rethrow
+  // until they are done.
+  // The counters outlive the pool, whose destructor joins the workers.
+  std::atomic<int> Started{0}, Finished{0};
+  ThreadPool Pool(3);
+  auto Body = [&](std::size_t I) {
+    if (I == 0) {
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(5);
+      while (Started.load() < 2 && std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::yield();
+      throw std::runtime_error("band 0 failed");
+    }
+    Started.fetch_add(1);
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Finished.fetch_add(1);
+  };
+  try {
+    parallelFor(Pool, 16, Body);
+    ADD_FAILURE() << "parallelFor swallowed the exception";
+  } catch (const std::runtime_error &E) {
+    EXPECT_STREQ(E.what(), "band 0 failed");
+    EXPECT_GE(Started.load(), 2);
+    EXPECT_EQ(Finished.load(), Started.load());
+  }
+}
+
+TEST(ParallelFor, CallFromInsidePoolTaskReturns) {
+  // The only worker runs the caller, so the helper it queues cannot start
+  // until the call returns: the caller must claim every index itself.
+  std::atomic<int> Ran{0};
+  ThreadPool Pool(1);
+  std::future<void> Outer = Pool.submit([&] {
+    parallelFor(Pool, 100, [&](std::size_t) { Ran.fetch_add(1); });
+  });
+  ASSERT_EQ(Outer.wait_for(std::chrono::seconds(10)),
+            std::future_status::ready);
+  Outer.get();
+  EXPECT_EQ(Ran.load(), 100);
+}
+
+TEST(ParallelFor, HostPoolLeavesTheCallerALane) {
+  unsigned Hw = std::thread::hardware_concurrency();
+  EXPECT_EQ(hostPool().workerCount(), std::max(2u, Hw) - 1);
+  EXPECT_EQ(&hostPool(), &hostPool());
 }

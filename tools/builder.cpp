@@ -14,8 +14,8 @@
 // Usage:
 //   builder [--source native|<preset>] [--rank R|all] [--jobs N]
 //           [--kind K] [--min A] [--max B] [--points N] [--output FILE]
-//           [--reps-min M] [--reps-max M2] [--rel-err E] [--threads T]
-//           [--micro]
+//           [--reps-min M] [--reps-max M2] [--rel-err E] [--time-limit S]
+//           [--noise SIGMA] [--threads T] [--micro]
 //
 //   --source native        benchmark this machine's GEMM kernel
 //   --threads T            GEMM threads per measurement (native source:
@@ -33,6 +33,11 @@
 //                          bit-identical for every N)
 //   --kind cpm|piecewise|akima   model kind (default piecewise)
 //
+// Every numeric option must be finite and every integer at most INT_MAX;
+// --points, --jobs, --threads and --reps-min must be positive, --reps-max
+// at least --reps-min, --min, --rel-err and --time-limit positive, and
+// --noise non-negative. A violation fails with rc 2 naming the option.
+//
 //===----------------------------------------------------------------------===//
 
 #include "blas/Gemm.h"
@@ -41,6 +46,7 @@
 #include "support/Options.h"
 
 #include <cstdio>
+#include <limits>
 #include <memory>
 
 using namespace fupermod;
@@ -54,7 +60,8 @@ int usage(const char *Program) {
       "           <cluster-file>] [--rank R|all] [--jobs N]\n"
       "          [--kind cpm|piecewise|akima] [--min A] [--max B]\n"
       "          [--points N] [--output FILE] [--reps-min M]\n"
-      "          [--reps-max M] [--rel-err E] [--threads T] [--micro]\n",
+      "          [--reps-max M] [--rel-err E] [--time-limit S]\n"
+      "          [--noise SIGMA] [--threads T] [--micro]\n",
       Program);
   return 2;
 }
@@ -119,16 +126,18 @@ int main(int Argc, char **Argv) {
   std::string Output = Opts.get("output", "model.fpm");
 
   // Strict numeric parsing: a typo like --points ten is an error, not a
-  // silent fallback to the default.
+  // silent fallback to the default, and every integer is range-checked
+  // before it is narrowed to int.
+  constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
   Result<double> MinR = Opts.checkedDouble("min", 32.0);
   Result<double> MaxR = Opts.checkedDouble("max", 1024.0);
-  Result<std::int64_t> PointsR = Opts.checkedInt("points", 10);
-  Result<std::int64_t> JobsR = Opts.checkedInt("jobs", 1);
-  Result<std::int64_t> RepsMinR = Opts.checkedInt("reps-min", 3);
-  Result<std::int64_t> RepsMaxR = Opts.checkedInt("reps-max", 10);
+  Result<std::int64_t> PointsR = Opts.checkedInt("points", 10, 1, IntMax);
+  Result<std::int64_t> JobsR = Opts.checkedInt("jobs", 1, 1, IntMax);
+  Result<std::int64_t> RepsMinR = Opts.checkedInt("reps-min", 3, 1, IntMax);
+  Result<std::int64_t> RepsMaxR = Opts.checkedInt("reps-max", 10, 1, IntMax);
   Result<double> RelErrR = Opts.checkedDouble("rel-err", 0.05);
   Result<double> TimeLimitR = Opts.checkedDouble("time-limit", 2.0);
-  Result<std::int64_t> ThreadsR = Opts.checkedInt("threads", 1);
+  Result<std::int64_t> ThreadsR = Opts.checkedInt("threads", 1, 1, IntMax);
   Result<double> NoiseR = Opts.checkedDouble("noise", 0.02);
   for (const Result<double> *R : {&MinR, &MaxR, &RelErrR, &TimeLimitR,
                                   &NoiseR})
@@ -141,10 +150,20 @@ int main(int Argc, char **Argv) {
 
   double Min = MinR.value();
   double Max = MaxR.value();
+  if (Min <= 0.0)
+    return fail("--min must be positive");
+  if (Max < Min)
+    return fail("--max must be at least --min");
+  if (RepsMaxR.value() < RepsMinR.value())
+    return fail("--reps-max must be at least --reps-min");
+  if (RelErrR.value() <= 0.0)
+    return fail("--rel-err must be positive");
+  if (TimeLimitR.value() <= 0.0)
+    return fail("--time-limit must be positive");
+  if (NoiseR.value() < 0.0)
+    return fail("--noise must be non-negative");
   std::int64_t NumPoints = PointsR.value();
   std::int64_t Jobs = JobsR.value();
-  if (Min <= 0.0 || Max < Min || NumPoints < 1 || Jobs < 1)
-    return usage(Argv[0]);
 
   Precision Prec;
   Prec.MinReps = static_cast<int>(RepsMinR.value());
@@ -155,12 +174,9 @@ int main(int Argc, char **Argv) {
   if (Source == "native") {
     // One real device: nothing to parallelise over across devices, but
     // the kernel itself can use --threads GEMM threads per measurement.
-    std::int64_t Threads = ThreadsR.value();
-    if (Threads < 1)
-      return usage(Argv[0]);
     engine::SessionConfig Cfg;
     Cfg.ModelKind = Kind;
-    Cfg.Kernel.Threads = static_cast<unsigned>(Threads);
+    Cfg.Kernel.Threads = static_cast<unsigned>(ThreadsR.value());
     Cfg.Kernel.UseMicroGemm = Opts.has("micro");
     if (Cfg.Kernel.UseMicroGemm)
       std::printf("# micro-kernel isa: %s\n", gemmIsaName(gemmMicroIsa()));
@@ -209,12 +225,12 @@ int main(int Argc, char **Argv) {
     Result<std::int64_t> RankR = Opts.checkedInt("rank", 0);
     if (!RankR)
       return fail(RankR.error());
-    Rank = static_cast<int>(RankR.value());
-    if (Rank < 0 || Rank >= Cl.size()) {
-      std::fprintf(stderr, "error: rank %d out of range for preset %s\n",
-                   Rank, Source.c_str());
+    if (RankR.value() < 0 || RankR.value() >= Cl.size()) {
+      std::fprintf(stderr, "error: rank %lld out of range for preset %s\n",
+                   static_cast<long long>(RankR.value()), Source.c_str());
       return 2;
     }
+    Rank = static_cast<int>(RankR.value());
   }
 
   if (!AllRanks) {

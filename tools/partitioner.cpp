@@ -89,19 +89,6 @@ int usage(const char *Program) {
   return 2;
 }
 
-/// True when --\p Flag's \p Value lies in [Min, Max]; otherwise prints
-/// the violated bound and returns false.
-bool inRange(const char *Flag, std::int64_t Value, std::int64_t Min,
-             std::int64_t Max) {
-  if (Value < Min)
-    std::fprintf(stderr, "error: --%s must be %s\n", Flag,
-                 Min > 0 ? "positive" : "non-negative");
-  else if (Value > Max)
-    std::fprintf(stderr, "error: --%s must be at most %lld\n", Flag,
-                 static_cast<long long>(Max));
-  return Value >= Min && Value <= Max;
-}
-
 /// The accumulated SPMD traffic of the session's runs, one deterministic
 /// summary line shared by the serve modes and the one-shot --stats path.
 void printTraffic(const engine::Session &Engine) {
@@ -146,11 +133,20 @@ int main(int Argc, char **Argv) {
     return usage(Argv[0]);
   }
 
+  // Range checks come before any narrowing: --cooldown and --workers
+  // become ints, and --deadline-ms becomes std::chrono::nanoseconds.
+  constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t DeadlineMaxMs =
+      std::chrono::duration_cast<std::chrono::milliseconds>(
+          std::chrono::nanoseconds::max())
+          .count();
   Result<std::int64_t> TotalR = Opts.checkedInt("total", 0);
-  Result<std::int64_t> WorkersR = Opts.checkedInt("workers", 0);
-  Result<std::int64_t> QueueR = Opts.checkedInt("queue", 256);
-  Result<std::int64_t> DeadlineR = Opts.checkedInt("deadline-ms", 0);
-  Result<std::int64_t> CooldownR = Opts.checkedInt("cooldown", 0);
+  Result<std::int64_t> WorkersR = Opts.checkedInt("workers", 0, 0, IntMax);
+  Result<std::int64_t> QueueR = Opts.checkedInt(
+      "queue", 256, 1, std::numeric_limits<std::int64_t>::max());
+  Result<std::int64_t> DeadlineR =
+      Opts.checkedInt("deadline-ms", 0, 0, DeadlineMaxMs);
+  Result<std::int64_t> CooldownR = Opts.checkedInt("cooldown", 0, 0, IntMax);
   for (const auto *R :
        {&TotalR, &WorkersR, &QueueR, &DeadlineR, &CooldownR})
     if (!*R) {
@@ -167,19 +163,6 @@ int main(int Argc, char **Argv) {
                  "error: --imbalance-threshold must be non-negative\n");
     return 2;
   }
-  // Range checks come before any narrowing: --cooldown and --workers
-  // become ints, and --deadline-ms becomes std::chrono::nanoseconds.
-  constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
-  constexpr std::int64_t DeadlineMaxMs =
-      std::chrono::duration_cast<std::chrono::milliseconds>(
-          std::chrono::nanoseconds::max())
-          .count();
-  if (!inRange("cooldown", CooldownR.value(), 0, IntMax) ||
-      !inRange("workers", WorkersR.value(), 0, IntMax) ||
-      !inRange("queue", QueueR.value(), 1,
-               std::numeric_limits<std::int64_t>::max()) ||
-      !inRange("deadline-ms", DeadlineR.value(), 0, DeadlineMaxMs))
-    return 2;
   std::int64_t Total = TotalR.value();
   std::string Algorithm = Opts.get("algorithm", "geometric");
   std::string ServeFile = Opts.get("serve");
