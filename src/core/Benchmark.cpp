@@ -7,10 +7,12 @@
 #include "sim/SimDevice.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
 #include <chrono>
 #include <cmath>
-#include <future>
+#include <optional>
 #include <thread>
 
 using namespace fupermod;
@@ -216,40 +218,39 @@ fupermod::buildModelsParallel(const Cluster &Cl, const ModelBuildPlan &Plan) {
   const int Ranks = Cl.size();
   std::vector<BuiltModel> Out(static_cast<std::size_t>(Ranks));
 
-  // One self-contained task per rank. The device is created inside the
-  // task from the cluster description (per-rank RNG stream Seed + rank,
-  // fault plan attached), so no state is shared between workers and the
+  // One self-contained job per rank. The device is created inside the
+  // job from the cluster description (per-rank RNG stream Seed + rank,
+  // fault plan attached), so no state is shared between jobs and the
   // Point sequence of a rank cannot depend on scheduling.
-  auto BuildRank = [&](int Rank) {
-    SimDevice Dev = Cl.makeDevice(Rank);
+  auto BuildRank = [&](std::size_t Rank) {
+    SimDevice Dev = Cl.makeDevice(static_cast<int>(Rank));
     SimDeviceBackend Backend(Dev);
     Backend.emulateWallTime(Plan.WallScale);
-    BuiltModel Built;
-    Built.M = makeModel(Plan.Kind);
+    BuiltModel &Built = Out[Rank];
     Built.Raw.reserve(Sizes.size());
-    for (double D : Sizes) {
-      Point P = runBenchmark(Backend, D, Plan.Prec);
-      Built.Raw.push_back(P);
-      Built.M->update(P);
-    }
-    return Built;
+    for (double D : Sizes)
+      Built.Raw.push_back(runBenchmark(Backend, D, Plan.Prec));
+    Built.M = makeModel(Plan.Kind);
+    Built.M->updateAll(Built.Raw);
   };
 
-  if (Plan.Jobs <= 1 || Ranks <= 1) {
+  const std::size_t Lanes =
+      static_cast<std::size_t>(std::clamp(Plan.Jobs, 1, std::max(Ranks, 1)));
+  if (Lanes == 1) {
     // Serial reference path: rank order, no pool.
-    for (int R = 0; R < Ranks; ++R)
-      Out[static_cast<std::size_t>(R)] = BuildRank(R);
+    for (std::size_t R = 0; R < Out.size(); ++R)
+      BuildRank(R);
     return Out;
   }
-
-  ThreadPool Pool(static_cast<unsigned>(std::min(Plan.Jobs, Ranks)));
-  std::vector<std::future<BuiltModel>> Futures;
-  Futures.reserve(static_cast<std::size_t>(Ranks));
-  for (int R = 0; R < Ranks; ++R)
-    Futures.push_back(Pool.submit([&BuildRank, R] { return BuildRank(R); }));
-  // get() in rank order keeps results positional and rethrows the first
-  // worker exception in a deterministic place.
-  for (int R = 0; R < Ranks; ++R)
-    Out[static_cast<std::size_t>(R)] = Futures[static_cast<std::size_t>(R)].get();
+  // Lanes claim ranks from one counter, so at most Lanes are in flight.
+  std::atomic<std::size_t> Next{0};
+  auto Lane = [&](std::size_t) {
+    for (std::size_t R = Next++; R < Out.size(); R = Next++)
+      BuildRank(R);
+  };
+  std::optional<ThreadPool> Local;
+  if (Lanes > hostLanes())
+    Local.emplace(static_cast<unsigned>(Lanes - 1));
+  parallelFor(Local ? *Local : hostPool(), Lanes, Lane);
   return Out;
 }

@@ -30,6 +30,7 @@
 #include "core/Model.h"
 #include "core/Point.h"
 #include "support/Statistics.h"
+#include "support/ThreadPool.h"
 
 #include <limits>
 #include <memory>
@@ -177,9 +178,11 @@ struct ModelBuildPlan {
   int NumPoints = 10;
   /// Statistical stopping rule of every measurement.
   Precision Prec;
-  /// Worker threads benchmarking devices concurrently; 1 runs the ranks
-  /// inline in order (the serial reference path).
-  int Jobs = 1;
+  /// Devices benchmarked at once. 1 runs the ranks inline in order (the
+  /// serial reference path). The default, hostLanes(), runs them on the
+  /// process-wide hostPool(); a larger value gets a pool of its own for
+  /// the call (only worth it when repetitions block, see WallScale).
+  int Jobs = static_cast<int>(hostLanes());
   /// Wall-time emulation scale forwarded to every SimDeviceBackend (see
   /// SimDeviceBackend::emulateWallTime); 0 disables.
   double WallScale = 0.0;
@@ -187,20 +190,23 @@ struct ModelBuildPlan {
 
 /// One rank's build outcome: the fitted model plus the raw measured
 /// points in benchmark order (kept separately because failed points are
-/// filtered or merged by Model::update, and the determinism tests compare
-/// the raw sequences bit-for-bit).
+/// filtered or merged by Model::updateAll, and the determinism tests
+/// compare the raw sequences bit-for-bit).
 struct BuiltModel {
   std::unique_ptr<Model> M;
   std::vector<Point> Raw;
 };
 
-/// Benchmarks every device of \p Cl and fits one model per rank.
+/// Benchmarks every device of \p Cl and fits one model per rank, once,
+/// from the rank's finished point list (Model::updateAll).
 ///
 /// Each rank's device, repetition loop, fault guards and Student-t
-/// stopping rule run independently on its own worker; devices carry
-/// per-rank RNG streams (Cluster::Seed + rank), so the resulting Point
-/// sets are bit-identical for any worker count, including Jobs = 1.
-/// A worker that throws propagates its exception to the caller.
+/// stopping rule run independently; devices carry per-rank RNG streams
+/// (Cluster::Seed + rank), so the resulting Point sets and models are
+/// bit-identical for any Plan.Jobs, including 1. Up to Plan.Jobs ranks
+/// run at once through parallelFor, on hostPool() unless Jobs exceeds
+/// hostLanes(). The first exception a rank throws reaches the caller
+/// through parallelFor, once the ranks already running have finished.
 std::vector<BuiltModel> buildModelsParallel(const Cluster &Cl,
                                             const ModelBuildPlan &Plan);
 

@@ -34,29 +34,45 @@ void Model::timesAt(std::span<const double> Xs, std::span<double> Out) const {
     Out[I] = timeAt(Xs[I]);
 }
 
-void Model::update(Point P) {
+bool Model::sameSize(double Known, double Units) {
+  return std::fabs(Known - Units) <= 1e-9 * std::max(1.0, Units);
+}
+
+void Model::update(Point P) { updateAll(std::span<const Point>(&P, 1)); }
+
+void Model::updateAll(std::span<const Point> Ps) {
+  Change Needed = Change::None;
+  for (const Point &P : Ps)
+    Needed = std::max(Needed, apply(P));
+  if (Needed == Change::Fit)
+    refitAndBumpEpoch();
+  else if (Needed == Change::Cap)
+    bumpFitEpoch();
+}
+
+Model::Change Model::apply(const Point &P) {
   if (P.deviceFault()) {
     // Timeout / hard failure: says nothing about the size's cost and
     // must not be mistaken for infeasibility of the size.
-    return;
+    return Change::None;
   }
   if (P.Reps <= 0 || !std::isfinite(P.Time)) {
     // Failed measurement: the size exceeded what the device can execute
     // (e.g. GPU memory without an out-of-core mode). Remember the
     // tightest known limit so partitioners avoid the infeasible region.
-    // No refit happens, but a tighter cap changes partitioning results,
-    // so the fit epoch must advance or a memoized warm-start solution
-    // would ignore the new cap.
+    // No refit is needed, but a tighter cap changes partitioning
+    // results, so the fit epoch must advance or a memoized warm-start
+    // solution would ignore the new cap.
     if (P.Units > 0.0 && P.Units < MinInfeasible) {
       MinInfeasible = P.Units;
-      bumpFitEpoch();
+      return Change::Cap;
     }
-    return;
+    return Change::None;
   }
   assert(P.Units > 0.0 && P.Time > 0.0 && "invalid experimental point");
   // A success at or above the recorded limit supersedes it (the failure
   // may have been transient or an out-of-core mode became available).
-  // The refit below advances the epoch for this cap change too.
+  // The refit this point needs advances the epoch for the cap change too.
   if (P.Units >= MinInfeasible)
     MinInfeasible =
         std::nextafter(P.Units, std::numeric_limits<double>::infinity());
@@ -66,8 +82,7 @@ void Model::update(Point P) {
   // measurement after a regime change dominates the stale mean.
   for (std::size_t I = 0; I < Points.size(); ++I) {
     Point &Existing = Points[I];
-    if (std::fabs(Existing.Units - P.Units) <=
-        1e-9 * std::max(1.0, P.Units)) {
+    if (sameSize(Existing.Units, P.Units)) {
       double W1 = Weights[I];
       double W2 = static_cast<double>(P.Reps);
       Existing.Time = (Existing.Time * W1 + P.Time * W2) / (W1 + W2);
@@ -79,8 +94,7 @@ void Model::update(Point P) {
       Existing.ConfidenceInterval =
           std::max(Existing.ConfidenceInterval, P.ConfidenceInterval);
       Weights[I] = W1 + W2;
-      refitAndBumpEpoch();
-      return;
+      return Change::Fit;
     }
   }
 
@@ -90,7 +104,7 @@ void Model::update(Point P) {
   Weights.insert(Weights.begin() + (Pos - Points.begin()),
                  static_cast<double>(P.Reps));
   Points.insert(Pos, P);
-  refitAndBumpEpoch();
+  return Change::Fit;
 }
 
 void Model::refitAndBumpEpoch() {

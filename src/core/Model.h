@@ -50,16 +50,33 @@ public:
   virtual const char *kind() const = 0;
 
   /// Adds an experimental point and refits the approximation. Points at
-  /// an already-known size are merged (weight-averaged mean time, where
-  /// a point's weight starts at its repetition count and decays with
-  /// staleness — see decayWeights()). Points from failed measurements
-  /// (Reps == 0) carry no timing but record that the size is infeasible
-  /// on the device (e.g. exceeds GPU memory, paper Section 4.1) — see
-  /// feasibleLimit(). Points whose Status marks a device fault (timeout
-  /// or hard failure) are ignored entirely: they describe the device's
-  /// health, not the size's cost, and must not shrink the feasible
-  /// region.
+  /// an already-known size (see sameSize()) are merged (weight-averaged
+  /// mean time, where a point's weight starts at its repetition count
+  /// and decays with staleness — see decayWeights()). Points from failed
+  /// measurements (Reps == 0) carry no timing but record that the size
+  /// is infeasible on the device (e.g. exceeds GPU memory, paper Section
+  /// 4.1) — see feasibleLimit(). Points whose Status marks a device fault
+  /// (timeout or hard failure) are ignored entirely: they describe the
+  /// device's health, not the size's cost, and must not shrink the
+  /// feasible region. The same as updateAll() of the one point; the
+  /// dynamic algorithms call it because they need the model after each
+  /// point.
   void update(Point P);
+
+  /// Adds finished points in order under update()'s merge, sort and
+  /// feasibility-cap rules, then refits once. The result — points,
+  /// weights, cap and fit — is bit-identical to calling update() on each
+  /// point in turn, because every kind's refit reads only the stored
+  /// points; a static campaign of n sizes thus costs one fit instead of
+  /// n. fitEpoch() advances once if any point changed the fit or the
+  /// cap, and not at all otherwise.
+  void updateAll(std::span<const Point> Ps);
+
+  /// True when a point at \p Units lands on the stored size \p Known,
+  /// so update() merges the two: they differ by at most 1e-9 relative to
+  /// Units (absolute below 1). Exposed so the model-file reader rejects
+  /// exactly the sizes update() would merge.
+  static bool sameSize(double Known, double Units);
 
   /// Exponentially down-weights every stored point by \p Factor in
   /// (0, 1]: a later measurement at the same size then dominates the
@@ -142,6 +159,15 @@ protected:
   std::vector<Point> Points;
 
 private:
+  /// What applying one point changed, in increasing order of the work
+  /// needed to publish it: nothing, only the feasibility cap (a fresh
+  /// epoch), or the fitted points (a refit and a fresh epoch).
+  enum class Change { None, Cap, Fit };
+
+  /// update()'s rules for one point without the refit: merges or inserts
+  /// it into Points and Weights and moves MinInfeasible.
+  Change apply(const Point &P);
+
   /// Refits after Points changed and advances fitEpoch().
   void refitAndBumpEpoch();
 

@@ -117,6 +117,7 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
     return readFailed(Err, KindErr);
   const std::string MalformedPoint =
       "malformed point (expected 'units time reps ci [weight]')";
+  std::vector<Point> Points;
   std::vector<double> Weights;
   for (std::size_t I = 0; I < Count; ++I) {
     if (!std::getline(IS, Line))
@@ -136,25 +137,26 @@ std::unique_ptr<Model> fupermod::readModel(std::istream &IS,
       return readFailed(Err, lineError(LineNo, MalformedPoint));
     if (W <= 0.0)
       return readFailed(Err, lineError(LineNo, "non-positive point weight"));
-    Weights.push_back(W);
-    M->update(P);
     // writeModel saves distinct sizes in ascending order. update() would
     // merge a repeated size or sort an out-of-order one away from its
     // saved weight.
-    if (M->points().size() != Weights.size() ||
-        M->points().back().Units != P.Units)
+    if (!Points.empty() && (P.Units <= Points.back().Units ||
+                            Model::sameSize(Points.back().Units, P.Units)))
       return readFailed(Err, lineError(LineNo, "point sizes must be "
                                                "distinct and ascending"));
+    Points.push_back(P);
+    Weights.push_back(W);
   }
   if (std::isfinite(Limit)) {
     Point Fail;
     Fail.Units = Limit;
     Fail.Reps = 0;
     Fail.Time = std::numeric_limits<double>::infinity();
-    M->update(Fail);
+    Points.push_back(Fail);
   }
-  // The replay stored the points one-to-one, so the saved weights map
-  // straight onto them.
+  M->updateAll(Points);
+  // The points were stored one-to-one, so the saved weights map straight
+  // onto them.
   M->setWeights(Weights);
   if (Err)
     Err->clear();

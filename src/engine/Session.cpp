@@ -138,12 +138,10 @@ Status Session::measureSynchronized(const SyncMeasurePlan &Plan) {
   if (Status S = checkPrecision("measureSynchronized", Plan.Prec); !S)
     return S;
   // Exclusive for the whole SPMD run: rank 0's body writes the slots,
-  // and runSpmd's join orders those writes before the unlock.
+  // and runSpmd's join orders those writes before the models are fitted.
   std::unique_lock<std::shared_mutex> Lock(StateMutex);
   Slots.clear();
   Slots.resize(static_cast<std::size_t>(Cl.size()));
-  for (ModelSlot &S : Slots)
-    S.M = makeModel(Config.ModelKind);
   runSpmd(
       Cl.size(),
       [&](Comm &C) {
@@ -154,14 +152,16 @@ Status Session::measureSynchronized(const SyncMeasurePlan &Plan) {
           std::vector<Point> All =
               C.allgatherv(std::span<const Point>(&P, 1));
           if (C.rank() == 0)
-            for (int Q = 0; Q < C.size(); ++Q) {
-              ModelSlot &S = Slots[static_cast<std::size_t>(Q)];
-              S.M->update(All[static_cast<std::size_t>(Q)]);
-              S.Raw.push_back(All[static_cast<std::size_t>(Q)]);
-            }
+            for (int Q = 0; Q < C.size(); ++Q)
+              Slots[static_cast<std::size_t>(Q)].Raw.push_back(
+                  All[static_cast<std::size_t>(Q)]);
         }
       },
       Cl.makeCostModel(), Config.Spmd);
+  for (ModelSlot &S : Slots) {
+    S.M = makeModel(Config.ModelKind);
+    S.M->updateAll(S.Raw);
+  }
   ++Epoch;
   return okStatus();
 }
@@ -180,18 +180,18 @@ Status Session::measureNative(const NativeMeasurePlan &Plan) {
     return Status::failure(Err);
   NativeKernelBackend Backend(*K);
   ModelSlot Slot;
-  Slot.M = makeModel(Config.ModelKind);
   ModelBuildPlan Grid;
   Grid.MinSize = Plan.MinSize;
   Grid.MaxSize = Plan.MaxSize;
   Grid.NumPoints = Plan.NumPoints;
   for (double Size : buildSizeGrid(Grid)) {
     Point P = runBenchmark(Backend, Size, Plan.Prec);
-    Slot.M->update(P);
     Slot.Raw.push_back(P);
     if (Plan.OnPoint)
       Plan.OnPoint(Size, P);
   }
+  Slot.M = makeModel(Config.ModelKind);
+  Slot.M->updateAll(Slot.Raw);
   std::unique_lock<std::shared_mutex> Lock(StateMutex);
   Slots.clear();
   Slots.push_back(std::move(Slot));

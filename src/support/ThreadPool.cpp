@@ -97,9 +97,14 @@ void ThreadPool::shutdownNow() {
 }
 
 ThreadPool &fupermod::hostPool() {
-  static ThreadPool Pool(std::max(2u, std::thread::hardware_concurrency()) -
-                         1);
+  static ThreadPool Pool(hostLanes() - 1);
   return Pool;
+}
+
+unsigned fupermod::hostLanes() {
+  static const unsigned Lanes =
+      std::max(2u, std::thread::hardware_concurrency());
+  return Lanes;
 }
 
 namespace {

@@ -7,13 +7,15 @@
 /// \file
 /// A small fixed-size thread pool used to parallelise the embarrassingly
 /// parallel stages of the FuPerMod pipeline (per-device model building,
-/// batched model evaluation). Tasks are submitted as callables and their
-/// results retrieved through std::future, so an exception thrown inside a
-/// worker propagates to whoever calls get() — never terminates the pool.
+/// the simulated ranks' real arithmetic). Tasks are submitted as
+/// callables and their results retrieved through std::future, so an
+/// exception thrown inside a worker propagates to whoever calls get() —
+/// never terminates the pool.
 ///
-/// hostPool() is the one pool the whole process shares for the real
-/// arithmetic of the simulated ranks, and parallelFor() spreads a loop
-/// over the calling thread plus a pool's workers.
+/// hostPool() is the one pool the whole process shares for the
+/// measurement campaign's devices and the real arithmetic of the
+/// simulated ranks, and parallelFor() spreads a loop over the calling
+/// thread plus a pool's workers.
 ///
 /// Shutdown has two flavours. An explicit shutdown() is a drain: every
 /// task already queued runs to completion before the workers join. The
@@ -112,6 +114,11 @@ private:
 /// from 24.0 to 35.1 MiB on a 4-vCPU Xeon VM (23.8 MiB with
 /// MALLOC_ARENA_MAX=1).
 ThreadPool &hostPool();
+
+/// The lanes a parallelFor() on hostPool() runs on: its workers plus the
+/// calling thread, max(2, hardware_concurrency()). The one place that
+/// count is computed; hostPool() is sized from it.
+unsigned hostLanes();
 
 /// Runs \p Body(I) once for every I in [0, Count), on the calling thread
 /// and up to min(workers, Count - 1) helper tasks of \p Pool, all claiming

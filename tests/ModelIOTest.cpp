@@ -279,6 +279,11 @@ TEST(ModelIO, MalformedInputIsRejectedWithLineNumbers) {
                              "10 1 2000000000 0\n",
                              "line 4"},
                         Case{"kind cpm\npoints 2\n20 2 3 0 1.5\n10 1 3 0\n",
+                             "line 4"},
+                        // Within update()'s merge tolerance of the size
+                        // before it, though numerically larger.
+                        Case{"kind cpm\npoints 2\n10 1 3 0\n"
+                             "10.000000000001 1 3 0\n",
                              "line 4"}}) {
     std::stringstream SS(C.Text);
     std::string Err;

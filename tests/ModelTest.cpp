@@ -2,6 +2,9 @@
 
 #include "core/Model.h"
 
+#include "core/Benchmark.h"
+#include "core/ModelIO.h"
+#include "sim/Cluster.h"
 #include "sim/DeviceProfile.h"
 #include "support/Random.h"
 
@@ -12,6 +15,9 @@
 #include <cmath>
 #include <cstdint>
 #include <limits>
+#include <sstream>
+#include <string>
+#include <vector>
 
 using namespace fupermod;
 
@@ -53,6 +59,43 @@ void feedProfile(Model &M, const DeviceProfile &P,
   for (double D : Sizes)
     M.update(makePoint(D, P.time(D)));
 }
+
+/// A failed measurement: the device could not run \p Units.
+Point infeasiblePoint(double Units) {
+  Point P = makePoint(Units, std::numeric_limits<double>::infinity(), 0);
+  P.Status = PointStatus::Infeasible;
+  return P;
+}
+
+/// A measurement abandoned because the device stopped working.
+Point deviceFailedPoint(double Units) {
+  Point P = makePoint(Units, std::numeric_limits<double>::infinity(), 0);
+  P.Status = PointStatus::DeviceFailed;
+  return P;
+}
+
+std::string modelText(const Model &M) {
+  std::ostringstream OS;
+  writeModel(OS, M);
+  return OS.str();
+}
+
+/// A piecewise model that counts its refits.
+class RefitCountingModel : public PiecewiseModel {
+public:
+  int Refits = 0;
+
+protected:
+  void refit() override {
+    ++Refits;
+    PiecewiseModel::refit();
+  }
+};
+
+Registrar<ModelRegistry> RegRefitCounting(
+    modelRegistry(), "refit-counting-piecewise", [] {
+      return std::unique_ptr<Model>(std::make_unique<RefitCountingModel>());
+    });
 
 } // namespace
 
@@ -96,6 +139,108 @@ TEST(ModelUpdate, KeepsPointsSorted) {
   ASSERT_EQ(M.points().size(), 3u);
   EXPECT_DOUBLE_EQ(M.points()[0].Units, 10.0);
   EXPECT_DOUBLE_EQ(M.points()[2].Units, 30.0);
+}
+
+TEST(ModelUpdate, UpdateAllEqualsSequentialUpdates) {
+  struct Case {
+    const char *Name;
+    std::vector<Point> Before; // Applied to both models with update().
+    std::vector<Point> Batch;  // updateAll() vs one update() per point.
+  };
+  const std::vector<Case> Cases = {
+      {"empty batch on an empty model", {}, {}},
+      {"empty batch", {makePoint(10.0, 1.0)}, {}},
+      {"repeated size merges",
+       {},
+       {makePoint(10.0, 1.0, 2), makePoint(20.0, 2.5, 3),
+        makePoint(10.0, 1.5, 4)}},
+      {"merge into a stored point",
+       {makePoint(10.0, 1.0, 2), makePoint(20.0, 2.5)},
+       {makePoint(40.0, 5.0), makePoint(20.0 * (1.0 + 1e-12), 3.0, 5)}},
+      {"out-of-order sizes",
+       {},
+       {makePoint(30.0, 3.0), makePoint(10.0, 1.25), makePoint(20.0, 2.5),
+        makePoint(5.0, 0.75)}},
+      {"success at the cap",
+       {makePoint(100.0, 1.0)},
+       {makePoint(400.0, 4.5), infeasiblePoint(200.0),
+        makePoint(200.0, 2.25)}},
+      {"success above the cap",
+       {},
+       {makePoint(100.0, 1.0), makePoint(400.0, 4.5), infeasiblePoint(200.0),
+        infeasiblePoint(300.0), makePoint(250.0, 2.75)}},
+      {"cap only",
+       {makePoint(100.0, 1.0)},
+       {infeasiblePoint(80.0), infeasiblePoint(50.0)}},
+      {"cap no tighter",
+       {makePoint(100.0, 1.0), infeasiblePoint(200.0)},
+       {infeasiblePoint(300.0)}},
+      {"device failure is ignored",
+       {makePoint(100.0, 1.0)},
+       {deviceFailedPoint(50.0), makePoint(200.0, 2.5),
+        deviceFailedPoint(400.0)}},
+      {"device failure alone", {makePoint(100.0, 1.0)},
+       {deviceFailedPoint(50.0)}},
+  };
+  std::vector<double> Probes;
+  for (double X = 0.5; X < 800.0; X *= 1.37)
+    Probes.push_back(X);
+  for (const char *Kind : {"cpm", "piecewise", "akima", "linear"}) {
+    for (const Case &C : Cases) {
+      SCOPED_TRACE(std::string(Kind) + ": " + C.Name);
+      std::unique_ptr<Model> Seq = makeModel(Kind), Batch = makeModel(Kind);
+      for (const Point &P : C.Before) {
+        Seq->update(P);
+        Batch->update(P);
+      }
+      std::uint64_t SeqBefore = Seq->fitEpoch();
+      std::uint64_t BatchBefore = Batch->fitEpoch();
+      for (const Point &P : C.Batch)
+        Seq->update(P);
+      Batch->updateAll(C.Batch);
+
+      EXPECT_EQ(modelText(*Batch), modelText(*Seq));
+      EXPECT_EQ(Batch->weights(), Seq->weights());
+      EXPECT_EQ(std::bit_cast<std::uint64_t>(Batch->feasibleLimit()),
+                std::bit_cast<std::uint64_t>(Seq->feasibleLimit()));
+      EXPECT_EQ(Batch->fitEpoch() != BatchBefore,
+                Seq->fitEpoch() != SeqBefore);
+      ASSERT_EQ(Batch->fitted(), Seq->fitted());
+      if (!Seq->fitted())
+        continue;
+      for (double X : Probes)
+        EXPECT_EQ(std::bit_cast<std::uint64_t>(Batch->timeAt(X)),
+                  std::bit_cast<std::uint64_t>(Seq->timeAt(X)))
+            << "x = " << X;
+    }
+  }
+}
+
+TEST(ModelUpdate, CampaignRefitsEachModelOnce) {
+  // Sequential updates refit a 256-size campaign's model 256 times; the
+  // campaign fits it once from the finished point list, on the serial
+  // path and on the host pool alike.
+  Cluster Cl = makeHeterogeneousCluster(3, /*Variant=*/5);
+  ModelBuildPlan Plan;
+  Plan.Kind = "refit-counting-piecewise";
+  Plan.MinSize = 16.0;
+  Plan.MaxSize = 4096.0;
+  Plan.NumPoints = 256;
+  Plan.Prec.MinReps = 1;
+  Plan.Prec.MaxReps = 2;
+  for (int Jobs : {1, static_cast<int>(hostLanes())}) {
+    Plan.Jobs = Jobs;
+    std::vector<BuiltModel> Built = buildModelsParallel(Cl, Plan);
+    ASSERT_EQ(Built.size(), 3u);
+    for (std::size_t R = 0; R < Built.size(); ++R) {
+      const auto *M =
+          dynamic_cast<const RefitCountingModel *>(Built[R].M.get());
+      ASSERT_NE(M, nullptr);
+      EXPECT_EQ(Built[R].Raw.size(), 256u);
+      EXPECT_TRUE(M->fitted());
+      EXPECT_EQ(M->Refits, 1) << "jobs " << Jobs << ", rank " << R;
+    }
+  }
 }
 
 TEST(ConstantModel, SinglePointDefinesSpeed) {

@@ -1,22 +1,27 @@
 //===-- tests/ParallelBuildTest.cpp - parallel build determinism ----------===//
 //
 // buildModelsParallel must be a pure parallelisation: for a fixed seed,
-// the Point sets it produces with 1, 4, or 8 workers are bit-identical
-// to the serial build, including on a cluster with fault lines (the
-// shipped examples/sample.cluster injects a GPU slowdown). Determinism
-// comes from per-rank RNG streams (Cluster::makeDevice seeds with
-// Seed + Rank), so any scheduling of the worker pool observes the same
-// measurement sequence — this test is the tripwire that keeps it true.
+// the Point sets it produces with 1, 4, or 8 devices in flight, and with
+// a default plan on the process-wide host pool, are bit-identical to the
+// serial build, including on a cluster with fault lines (the shipped
+// examples/sample.cluster injects a GPU slowdown). Determinism comes
+// from per-rank RNG streams (Cluster::makeDevice seeds with Seed + Rank),
+// so any scheduling of the lanes observes the same measurement sequence
+// — this test is the tripwire that keeps it true. It is also a TSan
+// workload: the campaign shares the host pool with other callers.
 //
 //===----------------------------------------------------------------------===//
 
 #include "core/Benchmark.h"
+#include "core/ModelIO.h"
 #include "sim/Cluster.h"
 #include "sim/ClusterIO.h"
 
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <sstream>
+#include <string>
 #include <vector>
 
 using namespace fupermod;
@@ -106,5 +111,28 @@ TEST(ParallelBuild, ModelsFitTheSamePoints) {
     for (double X : {150.0, 900.0, 2500.0, 4800.0})
       EXPECT_DOUBLE_EQ(Serial[R].M->timeAt(X), Parallel[R].M->timeAt(X))
           << "rank " << R << " size " << X;
+  }
+}
+
+TEST(ParallelBuild, HostPoolCampaignMatchesSerial) {
+  // A default plan benchmarks hostLanes() devices at once on hostPool();
+  // its raw points and fitted models must match the serial build's.
+  Cluster Cl = makeHeterogeneousCluster(5, /*Variant=*/9);
+  Cl.NoiseSigma = 0.03;
+  for (const char *Kind : {"piecewise", "akima"}) {
+    ModelBuildPlan Plan = smallPlan();
+    Plan.Kind = Kind;
+    ASSERT_EQ(Plan.Jobs, static_cast<int>(hostLanes()));
+    std::vector<BuiltModel> Pooled = buildModelsParallel(Cl, Plan);
+    Plan.Jobs = 1;
+    std::vector<BuiltModel> Serial = buildModelsParallel(Cl, Plan);
+    expectIdentical(Serial, Pooled, static_cast<int>(hostLanes()));
+    for (std::size_t R = 0; R < Serial.size(); ++R) {
+      std::ostringstream SerialText, PooledText;
+      writeModel(SerialText, *Serial[R].M);
+      writeModel(PooledText, *Pooled[R].M);
+      EXPECT_EQ(SerialText.str(), PooledText.str())
+          << Kind << " rank " << R;
+    }
   }
 }

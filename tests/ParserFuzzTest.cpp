@@ -7,7 +7,11 @@
 // every model kind, a writeDist block, a batch of serve request lines
 // and examples/sample.cluster — by byte flips, truncation, duplicated
 // and deleted lines, digit runs, numbers replaced by boundary integers,
-// and inserted '-', '#' and huge exponents.
+// and inserted '-', '#' and huge exponents. A second mutator derives
+// command lines from the builder and partitioner invocations of the
+// EngineSmoke and ToolsWorkflow scripts by dropped and duplicated
+// tokens, stray '--', '=' joins and splits, boundary integers and
+// non-finite numbers.
 //
 // The invariants:
 //
@@ -19,6 +23,10 @@
 //     error;
 //   * parseCluster: an input yields a cluster, or nothing with a
 //     non-empty diagnostic (there is no cluster writer to round-trip);
+//   * Options: for every key given and every key the tools know, each
+//     checked accessor yields a value (the default when the key is
+//     absent, within range for the ranged checkedInt, finite for
+//     checkedDouble) or a diagnostic naming the key;
 //   * nothing throws. A crash ends the binary; the ASan+UBSan build
 //     runs this test too, so memory errors and undefined behaviour fail
 //     it as well.
@@ -30,13 +38,16 @@
 #include "core/ModelIO.h"
 #include "engine/Serve.h"
 #include "sim/ClusterIO.h"
+#include "support/Options.h"
 #include "support/Random.h"
 
 #include <gtest/gtest.h>
 
 #include <cctype>
+#include <cmath>
 #include <exception>
 #include <fstream>
+#include <limits>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -369,6 +380,223 @@ int fuzz(const std::string &Seed, std::uint64_t RngSeed, CheckFn Check) {
   return Parsed;
 }
 
+/// A tool invocation: its arguments after argv[0] and the keys the tool
+/// declares as boolean flags.
+struct CommandLine {
+  std::vector<std::string> Args;
+  std::vector<std::string> Flags;
+};
+
+/// The builder and partitioner invocations of EngineSmoke and
+/// ToolsWorkflow, with the scripts' work-directory paths shortened.
+std::vector<CommandLine> optionsCorpus() {
+  const std::vector<std::string> Builder = {"micro"};
+  const std::vector<std::string> Partitioner = {"explain", "allow-degraded",
+                                                "stats"};
+  return {
+      {{"--source", "two-device", "--rank", "0", "--kind", "piecewise",
+        "--min", "100", "--max", "4000", "--points", "12", "--output",
+        "dev0.fpm"},
+       Builder},
+      {{"--source", "two-device", "--rank", "all", "--jobs", "2", "--kind",
+        "piecewise", "--min", "100", "--max", "4000", "--points", "12",
+        "--output", "all.fpm"},
+       Builder},
+      {{"--source", "sample.cluster", "--rank", "4", "--min", "500", "--max",
+        "10000", "--points", "6", "--output", "gpu.fpm"},
+       Builder},
+      {{"--source", "two-device", "--reps-min", "3", "--reps-max", "2",
+        "--time-limit", "-1", "--rel-err", "0", "--noise", "-1", "--threads",
+        "4294967297", "--output", "rejected.fpm"},
+       Builder},
+      {{"--total", "3000", "--algorithm", "geometric", "--output",
+        "dist_geometric.txt", "dev0.fpm", "dev1.fpm"},
+       Partitioner},
+      {{"--serve", "requests.txt", "--allow-degraded", "dev0.fpm",
+        "missing.fpm"},
+       Partitioner},
+      {{"--serve", "requests.txt", "--workers", "2", "--queue", "8",
+        "--deadline-ms", "18446744073710", "dev0.fpm", "dev1.fpm"},
+       Partitioner},
+      {{"--total", "2000", "--stats", "dev0.fpm", "dev1.fpm"}, Partitioner},
+      {{"--total", "100", "--imbalance-threshold", "nan", "--exlpain",
+        "dev0.fpm"},
+       Partitioner},
+  };
+}
+
+/// Every key builder and partitioner accept.
+const std::vector<std::string> &toolKeys() {
+  static const std::vector<std::string> Keys = {
+      // builder
+      "source", "kind", "rank", "min", "max", "points", "jobs", "output",
+      "reps-min", "reps-max", "rel-err", "time-limit", "threads", "noise",
+      "micro",
+      // partitioner
+      "total", "algorithm", "explain", "allow-degraded", "stats", "serve",
+      "workers", "queue", "deadline-ms", "equalize", "imbalance-threshold",
+      "cooldown"};
+  return Keys;
+}
+
+/// Derives hostile command lines from valid ones: one to three token
+/// mutations each, recorded in a human-readable recipe.
+class ArgsMutator {
+public:
+  explicit ArgsMutator(std::uint64_t Seed) : Rng(Seed) {}
+
+  std::vector<std::string> mutate(std::vector<std::string> Args,
+                                  std::string &Recipe) {
+    Recipe.clear();
+    int Count = 1 + static_cast<int>(below(3));
+    for (int I = 0; I < Count; ++I)
+      mutateOnce(Args, Recipe);
+    return Args;
+  }
+
+private:
+  std::size_t below(std::size_t N) {
+    return N == 0 ? 0 : static_cast<std::size_t>(Rng.next() % N);
+  }
+
+  static bool isKey(const std::string &Token) {
+    return Token.rfind("--", 0) == 0;
+  }
+
+  /// Replaces a random non-key token (a value or positional) by one of
+  /// \p Values.
+  void replaceValue(std::vector<std::string> &Args,
+                    const std::vector<const char *> &Values,
+                    std::string &Recipe) {
+    std::vector<std::size_t> At;
+    for (std::size_t I = 0; I < Args.size(); ++I)
+      if (!isKey(Args[I]))
+        At.push_back(I);
+    if (At.empty())
+      return;
+    std::size_t I = At[below(At.size())];
+    Args[I] = Values[below(Values.size())];
+    Recipe += "token " + std::to_string(I) + " -> '" + Args[I] + "'; ";
+  }
+
+  void mutateOnce(std::vector<std::string> &Args, std::string &Recipe) {
+    switch (below(7)) {
+    case 0: { // Dropped token.
+      if (Args.empty())
+        return;
+      std::size_t I = below(Args.size());
+      Recipe += "drop token " + std::to_string(I) + "; ";
+      Args.erase(Args.begin() + static_cast<std::ptrdiff_t>(I));
+      return;
+    }
+    case 1: { // Duplicated token.
+      if (Args.empty())
+        return;
+      std::size_t I = below(Args.size());
+      Args.insert(Args.begin() + static_cast<std::ptrdiff_t>(I), Args[I]);
+      Recipe += "duplicate token " + std::to_string(I) + "; ";
+      return;
+    }
+    case 2: { // Stray "--".
+      std::size_t I = below(Args.size() + 1);
+      Args.insert(Args.begin() + static_cast<std::ptrdiff_t>(I), "--");
+      Recipe += "insert '--' at " + std::to_string(I) + "; ";
+      return;
+    }
+    case 3: { // "--key value" joined into "--key=value".
+      std::vector<std::size_t> At;
+      for (std::size_t I = 0; I + 1 < Args.size(); ++I)
+        if (isKey(Args[I]) && !isKey(Args[I + 1]))
+          At.push_back(I);
+      if (At.empty())
+        return;
+      std::size_t I = At[below(At.size())];
+      Args[I] += "=" + Args[I + 1];
+      Args.erase(Args.begin() + static_cast<std::ptrdiff_t>(I + 1));
+      Recipe += "join tokens " + std::to_string(I) + " with '='; ";
+      return;
+    }
+    case 4: { // A token split at an '=' inserted anywhere in it.
+      if (Args.empty())
+        return;
+      std::size_t I = below(Args.size());
+      std::size_t Cut = below(Args[I].size() + 1);
+      Args[I].insert(Cut, "=");
+      Recipe += "insert '=' into token " + std::to_string(I) + " at " +
+                std::to_string(Cut) + "; ";
+      return;
+    }
+    case 5:
+      replaceValue(Args,
+                   {"-1", "0", "2147483647", "2147483648", "4294967297",
+                    "9223372036854775807", "9223372036854775808",
+                    "-9223372036854775809", "99999999999999999999"},
+                   Recipe);
+      return;
+    default:
+      replaceValue(Args,
+                   {"nan", "NaN", "inf", "-inf", "1e999", "-1e999", "1e-999",
+                    "0x1p2000"},
+                   Recipe);
+      return;
+    }
+  }
+
+  SplitMix64 Rng;
+};
+
+std::string describeArgs(const std::string &Recipe,
+                         const std::vector<std::string> &Args) {
+  std::string Line;
+  for (const std::string &A : Args)
+    Line += " '" + A + "'";
+  return "mutation: " + Recipe + "\nargs:" + Line;
+}
+
+/// The Options invariant for one command line.
+bool checkOptions(const std::vector<std::string> &Args,
+                  const std::vector<std::string> &Flags,
+                  const std::string &Recipe) {
+  try {
+    std::vector<const char *> Argv = {"tool"};
+    for (const std::string &A : Args)
+      Argv.push_back(A.c_str());
+    Options Opts(static_cast<int>(Argv.size()), Argv.data(), Flags);
+    std::vector<std::string> Keys = Opts.unknownKeys({});
+    Keys.insert(Keys.end(), toolKeys().begin(), toolKeys().end());
+    constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
+    for (const std::string &Key : Keys) {
+      const bool Given = Opts.has(Key);
+      auto Why = [&](const char *Accessor, const std::string &Err) {
+        return std::string(Accessor) + "(" + Key + ") gave '" + Err +
+               "'\n" + describeArgs(Recipe, Args);
+      };
+      auto NamesKey = [&](const std::string &Err) {
+        return Err.find("--" + Key) != std::string::npos;
+      };
+      Result<std::int64_t> I = Opts.checkedInt(Key, 7);
+      bool Ok = I ? Given || I.value() == 7 : NamesKey(I.error());
+      EXPECT_TRUE(Ok) << Why("checkedInt", I.error());
+      Result<std::int64_t> Ranged = Opts.checkedInt(Key, 1, 1, IntMax);
+      bool RangedOk = Ranged ? Ranged.value() >= 1 && Ranged.value() <= IntMax
+                             : NamesKey(Ranged.error());
+      EXPECT_TRUE(RangedOk) << Why("ranged checkedInt", Ranged.error());
+      Result<double> D = Opts.checkedDouble(Key, 0.5);
+      bool DoubleOk =
+          D ? std::isfinite(D.value()) && (Given || D.value() == 0.5)
+            : NamesKey(D.error());
+      EXPECT_TRUE(DoubleOk) << Why("checkedDouble", D.error());
+      if (!Ok || !RangedOk || !DoubleOk)
+        return false;
+    }
+    return true;
+  } catch (const std::exception &E) {
+    ADD_FAILURE() << "Options threw " << E.what() << "\n"
+                  << describeArgs(Recipe, Args);
+    return false;
+  }
+}
+
 } // namespace
 
 TEST(ParserFuzz, ReadModelParsesAndRoundTripsOrFailsCleanly) {
@@ -399,4 +627,16 @@ TEST(ParserFuzz, ParseClusterYieldsAClusterOrADiagnostic) {
   std::ostringstream Sample;
   Sample << IS.rdbuf();
   EXPECT_EQ(fuzz(Sample.str(), 0x5eed0300, checkCluster), MutantsPerInput);
+}
+
+TEST(ParserFuzz, CheckedOptionsYieldAValueOrANamedDiagnostic) {
+  std::uint64_t RngSeed = 0x5eed0400;
+  for (const CommandLine &Cmd : optionsCorpus()) {
+    ASSERT_TRUE(checkOptions(Cmd.Args, Cmd.Flags, "none"));
+    ArgsMutator Mut(RngSeed++);
+    std::string Recipe;
+    for (int I = 0; I < MutantsPerInput; ++I)
+      if (!checkOptions(Mut.mutate(Cmd.Args, Recipe), Cmd.Flags, Recipe))
+        break; // One reported failure per corpus entry is enough.
+  }
 }

@@ -1,17 +1,17 @@
 //===-- tests/ThreadPoolTest.cpp - worker pool unit tests -----------------===//
 //
-// The pool underpins buildModelsParallel, so its contract is pinned here:
-// results arrive through futures regardless of execution order, worker
-// exceptions surface at future.get() (not std::terminate), and explicit
-// shutdown() completes every queued task before joining — no abandoned
-// futures. The destructor, by contrast, cancels queued-but-unstarted
-// tasks: their futures complete with broken_promise instead of hanging
-// any waiter forever.
+// The pool's contract is pinned here: results arrive through futures
+// regardless of execution order, worker exceptions surface at
+// future.get() (not std::terminate), and explicit shutdown() completes
+// every queued task before joining — no abandoned futures. The
+// destructor, by contrast, cancels queued-but-unstarted tasks: their
+// futures complete with broken_promise instead of hanging any waiter
+// forever.
 //
-// parallelFor, which the matmul ranks share the host pool through, runs
-// every index exactly once even with several callers on one pool,
-// rethrows a body's exception only after all claimed work has finished,
-// and never waits for a helper that has not started.
+// parallelFor, which the measurement campaign and the matmul ranks share
+// the host pool through, runs every index exactly once even with several
+// callers on one pool, rethrows a body's exception only after all claimed
+// work has finished, and never waits for a helper that has not started.
 //
 //===----------------------------------------------------------------------===//
 
