@@ -33,6 +33,7 @@
 #include "equalize/Monitor.h"
 #include "equalize/Policy.h"
 #include "mpp/Runtime.h"
+#include "support/Hash.h"
 
 #include <cstdio>
 #include <cstring>
@@ -43,15 +44,6 @@
 using namespace fupermod;
 
 namespace {
-
-std::uint64_t fnv1a(std::uint64_t H, const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
 
 /// Scripted drift: a few ranks slow down by 3x after some busy time and
 /// recover later (the multiplicative slowdown events compose, so the
@@ -119,8 +111,8 @@ PolicyResult runJacobiPolicy(const Cluster &Cl, const std::string &Policy,
   Out.Name = Policy;
   Out.Makespan = R.Makespan;
   Out.RedistBytes = R.Comm.RedistributeBytes;
-  Out.Hash = fnv1a(1469598103934665603ull, R.Solution.data(),
-                   R.Solution.size() * sizeof(double));
+  Out.Hash = fnv1a(std::as_bytes(std::span<const double>(R.Solution)),
+                   Fnv1aLegacySeed);
   Out.Stats = R.Equalize;
   if (TraceOut)
     *TraceOut = R.Iterations;
@@ -206,8 +198,8 @@ PolicyResult runSyntheticPolicy(const Cluster &Cl, const std::string &Policy,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (Me == 0) {
-          Hash = fnv1a(1469598103934665603ull, Final.data(),
-                       Final.size() * sizeof(double));
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
+                       Fnv1aLegacySeed);
           Stats = Eq->stats();
         }
       },

@@ -22,6 +22,7 @@
 //===----------------------------------------------------------------------===//
 
 #include "mpp/Runtime.h"
+#include "support/Hash.h"
 
 #include <chrono>
 #include <cstdio>
@@ -56,14 +57,6 @@ std::vector<std::byte> rankData(int Rank, std::size_t Len) {
     Data[I] = static_cast<std::byte>(X >> 56);
   }
   return Data;
-}
-
-std::uint64_t fnv1a(std::span<const std::byte> Bytes, std::uint64_t H) {
-  for (std::byte B : Bytes) {
-    H ^= static_cast<std::uint64_t>(B);
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 /// Current VmRSS in MiB (Linux; 0 elsewhere).
@@ -132,14 +125,14 @@ VirtualRun measureVirtual(int P, const std::shared_ptr<const CostModel> &Cost,
 
         // Every rank hashes what it saw; the root folds the lot so a
         // divergence anywhere flips the final hash.
-        std::uint64_t H = fnv1a(Data, 1469598103934665603ull);
+        std::uint64_t H = fnv1a(Data, Fnv1aLegacySeed);
         std::vector<std::byte> HB(sizeof(H));
         std::memcpy(HB.data(), &H, sizeof(H));
         std::vector<std::byte> AllH = C.gathervBytes(HB, Root);
         if (C.rank() == Root) {
           Out.BcastVirtual = B1 - B0;
           Out.GatherVirtual = G1 - G0;
-          Out.Hash = fnv1a(All, fnv1a(AllH, 1469598103934665603ull));
+          Out.Hash = fnv1a(All, fnv1a(AllH, Fnv1aLegacySeed));
         }
       },
       Cost, Opts);

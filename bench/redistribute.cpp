@@ -23,6 +23,7 @@
 #include "dist/PartitionedVector.h"
 #include "mpp/CostModel.h"
 #include "mpp/Runtime.h"
+#include "support/Hash.h"
 
 #include <algorithm>
 #include <chrono>
@@ -42,15 +43,6 @@ double now() {
   return std::chrono::duration<double>(
              std::chrono::steady_clock::now().time_since_epoch())
       .count();
-}
-
-std::uint64_t fnv1a(std::uint64_t H, const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 Dist distOf(const std::vector<std::int64_t> &Units) {
@@ -150,8 +142,8 @@ runGatherScatter(const std::vector<std::vector<std::int64_t>> &Schedule,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(Local), 0);
         if (Me == 0)
-          Hash = fnv1a(1469598103934665603ull, Final.data(),
-                       Final.size() * sizeof(double));
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
+                       Fnv1aLegacySeed);
       },
       Cost);
   Out.WallSeconds = now() - Wall;
@@ -200,8 +192,8 @@ runIntervalOverlap(const std::vector<std::vector<std::int64_t>> &Schedule,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (C.rank() == 0)
-          Hash = fnv1a(1469598103934665603ull, Final.data(),
-                       Final.size() * sizeof(double));
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
+                       Fnv1aLegacySeed);
       },
       Cost);
   Out.WallSeconds = now() - Wall;

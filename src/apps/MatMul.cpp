@@ -4,6 +4,7 @@
 
 #include "blas/Gemm.h"
 #include "mpp/Runtime.h"
+#include "support/Hash.h"
 #include "support/ThreadPool.h"
 
 #include <cassert>
@@ -44,17 +45,6 @@ std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
   return Block;
 }
 
-/// FNV-1a over a byte range, continuing from \p Hash.
-std::uint64_t fnv1a(std::uint64_t Hash, std::span<const std::byte> Data) {
-  for (std::byte Byte : Data) {
-    Hash ^= static_cast<std::uint64_t>(Byte);
-    Hash *= 0x100000001b3ull;
-  }
-  return Hash;
-}
-
-constexpr std::uint64_t Fnv1aBasis = 0xcbf29ce484222325ull;
-
 /// Pivot fragments of one pipeline step: the A pivot-column blocks this
 /// rectangle's rows need and the B pivot-row blocks its columns need.
 /// Own blocks are filled immediately; remote ones either arrive through
@@ -94,8 +84,7 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
   std::vector<double> LoopEndTimes(static_cast<std::size_t>(P), 0.0);
   std::vector<double> IdleTimes(static_cast<std::size_t>(P), 0.0);
   std::vector<long long> SendCounts(static_cast<std::size_t>(P), 0);
-  std::vector<std::uint64_t> RankHashes(static_cast<std::size_t>(P),
-                                        Fnv1aBasis);
+  std::vector<std::uint64_t> RankHashes(static_cast<std::size_t>(P), 0);
   double MaxError = 0.0;
 
   auto Body = [&](Comm &C) {
@@ -325,7 +314,7 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     LoopEndTimes[static_cast<std::size_t>(Me)] = C.time();
     SendCounts[static_cast<std::size_t>(Me)] = Sent;
     RankHashes[static_cast<std::size_t>(Me)] =
-        fnv1a(Fnv1aBasis, std::as_bytes(std::span<const double>(CRect)));
+        fnv1aStriped(std::as_bytes(std::span<const double>(CRect)));
 
     if (!Options.Verify)
       return;
@@ -398,13 +387,8 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     Report.MaxIdleTime = std::max(Report.MaxIdleTime, T);
   for (long long S : SendCounts)
     Report.BlocksCommunicated += S;
-  std::uint64_t Hash = Fnv1aBasis;
-  for (std::uint64_t RankHash : RankHashes) {
-    std::uint64_t Bytes = RankHash;
-    Hash = fnv1a(Hash, std::as_bytes(std::span<const std::uint64_t>(
-                           &Bytes, 1)));
-  }
-  Report.ResultHash = Hash;
+  Report.ResultHash =
+      fnv1a(std::as_bytes(std::span<const std::uint64_t>(RankHashes)));
   Report.Comm = Run.Comm;
   Report.MaxError = MaxError;
   return Report;

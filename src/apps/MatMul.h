@@ -75,8 +75,9 @@ struct MatMulReport {
   long long BlocksCommunicated = 0;
   /// Largest per-rank virtual time spent stalled in pivot receives.
   double MaxIdleTime = 0.0;
-  /// FNV-1a hash of every rank's C rectangle bytes, folded in rank
-  /// order. Equal hashes across option combinations prove bit-identical
+  /// fnv1a() over the ranks' digests in rank order, each digest being
+  /// fnv1aStriped() over that rank's C rectangle bytes (support/Hash.h).
+  /// Equal hashes across option combinations prove bit-identical
   /// results.
   std::uint64_t ResultHash = 0;
   /// World communication counters for the whole run.

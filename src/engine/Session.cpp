@@ -7,6 +7,7 @@
 #include "core/Partitioners.h"
 #include "engine/Balance.h"
 #include "mpp/Runtime.h"
+#include "support/Hash.h"
 
 #include <cmath>
 #include <cstdio>
@@ -49,13 +50,12 @@ std::uint64_t hashFileContents(const std::string &Path) {
   std::ifstream IS(Path, std::ios::binary);
   if (!IS)
     return 0;
-  std::uint64_t H = 1469598103934665603ull;
+  std::uint64_t H = Fnv1aLegacySeed;
   char Buf[4096];
   while (IS.read(Buf, sizeof(Buf)) || IS.gcount() > 0) {
-    for (std::streamsize I = 0; I < IS.gcount(); ++I) {
-      H ^= static_cast<unsigned char>(Buf[I]);
-      H *= 1099511628211ull;
-    }
+    H = fnv1a(std::as_bytes(std::span<const char>(
+                  Buf, static_cast<std::size_t>(IS.gcount()))),
+              H);
     if (!IS)
       break;
   }

@@ -20,6 +20,7 @@
 #include "equalize/Policy.h"
 #include "mpp/Runtime.h"
 #include "sim/Cluster.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -36,16 +37,6 @@ namespace {
 
 std::vector<std::uint8_t> allActive(std::size_t P) {
   return std::vector<std::uint8_t>(P, 1);
-}
-
-std::uint64_t fnv1a(const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  std::uint64_t H = 1469598103934665603ull;
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
 }
 
 } // namespace
@@ -575,7 +566,8 @@ PolicyOutcome runPolicy(const Cluster &Cl, const EqualizeConfig &Cfg,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (Me == 0) {
-          Out.Hash = fnv1a(Final.data(), Final.size() * sizeof(double));
+          Out.Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
+                           Fnv1aLegacySeed);
           Out.Stats = Eq->stats();
         }
       },
@@ -685,6 +677,6 @@ TEST(EqualizeStress, EveryRoundChurnKeepsDataIntact) {
   std::vector<double> Expected(static_cast<std::size_t>(Total) * Width);
   for (std::size_t I = 0; I < Expected.size(); ++I)
     Expected[I] = static_cast<double>(I);
-  EXPECT_EQ(Out.Hash, fnv1a(Expected.data(),
-                            Expected.size() * sizeof(double)));
+  EXPECT_EQ(Out.Hash, fnv1a(std::as_bytes(std::span<const double>(Expected)),
+                            Fnv1aLegacySeed));
 }

@@ -3,6 +3,7 @@
 #include "apps/Jacobi.h"
 
 #include "core/Metrics.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -185,19 +186,10 @@ TEST(Jacobi, HugeThresholdMeansNoRedistribution) {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t H, const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 std::uint64_t reportHash(const JacobiReport &R) {
-  std::uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, R.Solution.data(), R.Solution.size() * sizeof(double));
-  return fnv1a(H, &R.Makespan, sizeof(double));
+  std::uint64_t H = fnv1a(std::as_bytes(std::span<const double>(R.Solution)),
+                          Fnv1aLegacySeed);
+  return fnv1a(std::as_bytes(std::span<const double>(&R.Makespan, 1)), H);
 }
 
 } // namespace

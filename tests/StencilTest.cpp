@@ -3,6 +3,7 @@
 #include "apps/Stencil.h"
 
 #include "core/Metrics.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
@@ -143,19 +144,10 @@ TEST(Stencil, DeterministicAcrossRuns) {
 
 namespace {
 
-std::uint64_t fnv1a(std::uint64_t H, const void *Data, std::size_t Len) {
-  const unsigned char *P = static_cast<const unsigned char *>(Data);
-  for (std::size_t I = 0; I < Len; ++I) {
-    H ^= P[I];
-    H *= 1099511628211ull;
-  }
-  return H;
-}
-
 std::uint64_t reportHash(const StencilReport &R) {
-  std::uint64_t H = 1469598103934665603ull;
-  H = fnv1a(H, R.Grid.data(), R.Grid.size() * sizeof(double));
-  return fnv1a(H, &R.Makespan, sizeof(double));
+  std::uint64_t H = fnv1a(std::as_bytes(std::span<const double>(R.Grid)),
+                          Fnv1aLegacySeed);
+  return fnv1a(std::as_bytes(std::span<const double>(&R.Makespan, 1)), H);
 }
 
 } // namespace
