@@ -3,6 +3,7 @@
 #include "engine/Server.h"
 
 #include <algorithm>
+#include <future>
 #include <thread>
 #include <utility>
 

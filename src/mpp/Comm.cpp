@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <cassert>
 #include <chrono>
+#include <future>
 #include <numeric>
 
 using namespace fupermod;

@@ -38,6 +38,7 @@
 
 #include <cstddef>
 #include <cstring>
+#include <future>
 #include <memory>
 #include <span>
 #include <type_traits>

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <future>
 
 using namespace fupermod;
 

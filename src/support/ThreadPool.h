@@ -5,26 +5,18 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// A small fixed-size thread pool used to parallelise the embarrassingly
-/// parallel stages of the FuPerMod pipeline (per-device model building,
-/// the simulated ranks' real arithmetic). Tasks are submitted as
-/// callables and their results retrieved through std::future, so an
-/// exception thrown inside a worker propagates to whoever calls get() —
-/// never terminates the pool.
+/// The worker threads behind parallelFor(), which spreads the
+/// embarrassingly parallel stages of the FuPerMod pipeline (the
+/// measurement campaign's devices, the simulated ranks' real arithmetic)
+/// over the calling thread plus a pool's workers. A pool runs only the
+/// helper tasks parallelFor() queues on it; a body's exception reaches
+/// parallelFor()'s caller, never a worker.
 ///
-/// hostPool() is the one pool the whole process shares for the
-/// measurement campaign's devices and the real arithmetic of the
-/// simulated ranks, and parallelFor() spreads a loop over the calling
-/// thread plus a pool's workers.
+/// hostPool() is the one pool the whole process shares for those stages.
 ///
-/// Shutdown has two flavours. An explicit shutdown() is a drain: every
-/// task already queued runs to completion before the workers join. The
-/// destructor is a cancel: tasks that are queued but have not started are
-/// discarded, and because each queued callable owns its packaged_task,
-/// discarding it completes the task's future with std::future_error
-/// (broken_promise) — a waiter blocked on get() wakes with an error
-/// instead of hanging forever on a future nobody will ever fulfil. The
-/// task currently running on each worker always finishes either way.
+/// The destructor lets each worker finish the task it is running, drops
+/// the helpers still queued (parallelFor() never waits for a helper that
+/// has not started, so nothing waits for them) and joins the workers.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -35,24 +27,21 @@
 #include <cstddef>
 #include <deque>
 #include <functional>
-#include <future>
-#include <memory>
 #include <mutex>
 #include <thread>
-#include <type_traits>
 #include <vector>
 
 namespace fupermod {
 
-/// Fixed set of worker threads draining a FIFO task queue.
+/// Fixed set of worker threads draining a FIFO queue of parallelFor()
+/// helper tasks.
 class ThreadPool {
 public:
   /// Spawns \p Workers threads (at least one).
   explicit ThreadPool(unsigned Workers);
 
-  /// Cancels queued-but-unstarted tasks (their futures complete with a
-  /// broken_promise error), finishes the tasks already running, and
-  /// joins the workers. Use shutdown() first for drain semantics.
+  /// Finishes the tasks already running, drops the queued ones and joins
+  /// the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool &) = delete;
@@ -60,32 +49,6 @@ public:
 
   /// Number of worker threads.
   unsigned workerCount() const { return static_cast<unsigned>(Threads.size()); }
-
-  /// Enqueues \p Fn and returns a future for its result. An exception
-  /// escaping \p Fn is captured into the future. Submitting after
-  /// shutdown() throws std::runtime_error.
-  template <class F>
-  auto submit(F &&Fn) -> std::future<std::invoke_result_t<std::decay_t<F>>> {
-    using R = std::invoke_result_t<std::decay_t<F>>;
-    auto Task =
-        std::make_shared<std::packaged_task<R()>>(std::forward<F>(Fn));
-    std::future<R> Result = Task->get_future();
-    enqueue([Task] { (*Task)(); });
-    return Result;
-  }
-
-  /// Blocks until every queued task has started and finished. Tasks
-  /// submitted while waiting extend the wait.
-  void drain();
-
-  /// Completes all queued tasks, then stops and joins the workers. Safe
-  /// to call more than once.
-  void shutdown();
-
-  /// Stops without draining: discards every queued-but-unstarted task
-  /// (breaking its future's promise), waits only for the tasks already
-  /// running, and joins the workers. Safe to call more than once.
-  void shutdownNow();
 
 private:
   friend void parallelFor(ThreadPool &Pool, std::size_t Count,
@@ -96,10 +59,8 @@ private:
 
   std::vector<std::thread> Threads;
   std::deque<std::function<void()>> Queue;
-  mutable std::mutex Mutex;
+  std::mutex Mutex;
   std::condition_variable WakeWorker;
-  std::condition_variable Idle;
-  unsigned Running = 0; // Tasks currently executing.
   bool Stopping = false;
 };
 

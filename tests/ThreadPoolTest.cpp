@@ -1,17 +1,11 @@
 //===-- tests/ThreadPoolTest.cpp - worker pool unit tests -----------------===//
 //
-// The pool's contract is pinned here: results arrive through futures
-// regardless of execution order, worker exceptions surface at
-// future.get() (not std::terminate), and explicit shutdown() completes
-// every queued task before joining — no abandoned futures. The
-// destructor, by contrast, cancels queued-but-unstarted tasks: their
-// futures complete with broken_promise instead of hanging any waiter
-// forever.
-//
-// parallelFor, which the measurement campaign and the matmul ranks share
-// the host pool through, runs every index exactly once even with several
-// callers on one pool, rethrows a body's exception only after all claimed
-// work has finished, and never waits for a helper that has not started.
+// A ThreadPool is the worker set behind parallelFor, which the
+// measurement campaign and the matmul ranks share the host pool through.
+// parallelFor runs every index exactly once even with several callers on
+// one pool, rethrows a body's exception only after all claimed work has
+// finished, and never waits for a helper that has not started, so a call
+// from inside one of the pool's own tasks returns.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,8 +16,6 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
-#include <future>
-#include <numeric>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -31,128 +23,24 @@
 
 using namespace fupermod;
 
-TEST(ThreadPool, ResultsIndependentOfExecutionOrder) {
-  ThreadPool Pool(4);
-  std::vector<std::future<int>> Futures;
-  for (int I = 0; I < 100; ++I)
-    Futures.push_back(Pool.submit([I] {
-      if (I % 7 == 0) // Stagger some tasks so completion order scrambles.
-        std::this_thread::sleep_for(std::chrono::milliseconds(1));
-      return I * I;
-    }));
-  for (int I = 0; I < 100; ++I)
-    EXPECT_EQ(Futures[static_cast<std::size_t>(I)].get(), I * I);
-}
-
-TEST(ThreadPool, ExceptionPropagatesThroughFuture) {
-  ThreadPool Pool(2);
-  std::future<int> Bad = Pool.submit(
-      []() -> int { throw std::runtime_error("device exploded"); });
-  std::future<int> Good = Pool.submit([] { return 42; });
-  EXPECT_THROW(
-      {
-        try {
-          Bad.get();
-        } catch (const std::runtime_error &E) {
-          EXPECT_STREQ(E.what(), "device exploded");
-          throw;
-        }
-      },
-      std::runtime_error);
-  // A thrown task must not poison the pool for its siblings.
-  EXPECT_EQ(Good.get(), 42);
-}
-
-TEST(ThreadPool, ShutdownCompletesQueuedTasks) {
-  std::atomic<int> Completed{0};
-  std::vector<std::future<void>> Futures;
-  {
-    // One worker and 50 slow-ish tasks: most are still queued when
-    // shutdown() runs, and shutdown() must drain them all.
-    ThreadPool Pool(1);
-    for (int I = 0; I < 50; ++I)
-      Futures.push_back(Pool.submit([&Completed] {
-        std::this_thread::sleep_for(std::chrono::microseconds(100));
-        Completed.fetch_add(1, std::memory_order_relaxed);
-      }));
-    Pool.shutdown();
-  }
-  EXPECT_EQ(Completed.load(), 50);
-  for (std::future<void> &F : Futures)
-    EXPECT_NO_THROW(F.get()); // Every future was fulfilled, none dropped.
-}
-
-TEST(ThreadPool, DestructorBreaksQueuedPromises) {
-  // Destroying the pool without an explicit shutdown() cancels tasks
-  // that never started: their futures must complete with broken_promise
-  // rather than leave a waiter blocked forever. The task already running
-  // still finishes (the worker is joined, not killed).
-  std::promise<void> Release;
-  std::shared_future<void> Gate = Release.get_future().share();
-  std::atomic<bool> FirstRan{false};
-  std::future<void> Running;
-  std::vector<std::future<int>> Queued;
-  // The gate opens only after a delay, so the destructor below runs
-  // while the lone worker is still parked inside the first task and the
-  // 8 queued tasks are untouched. The destructor cancels the queue
-  // BEFORE joining, so the join then completes once the gate opens.
-  std::thread Opener;
-  {
-    ThreadPool Pool(1);
-    Running = Pool.submit([&FirstRan, Gate] {
-      FirstRan.store(true, std::memory_order_release);
-      Gate.wait(); // Hold the only worker until the queue has backlog.
-    });
-    while (!FirstRan.load(std::memory_order_acquire))
-      std::this_thread::yield();
-    for (int I = 0; I < 8; ++I)
-      Queued.push_back(Pool.submit([I] { return I; }));
-    Opener = std::thread([&Release] {
-      std::this_thread::sleep_for(std::chrono::milliseconds(50));
-      Release.set_value();
-    });
-    // Pool destructor runs here with (up to) 8 tasks still queued.
-  }
-  Opener.join();
-  EXPECT_NO_THROW(Running.get());
-  int Cancelled = 0;
-  for (std::future<int> &F : Queued) {
-    try {
-      (void)F.get(); // Tasks that squeezed in before cancellation.
-    } catch (const std::future_error &E) {
-      EXPECT_EQ(E.code(), std::future_errc::broken_promise);
-      ++Cancelled;
-    }
-  }
-  // The worker was parked on the gate while all 8 were queued, so the
-  // destructor saw a non-empty queue; at least the tail is cancelled.
-  EXPECT_GT(Cancelled, 0);
-}
-
-TEST(ThreadPool, DrainWaitsForInFlightWork) {
-  ThreadPool Pool(3);
-  std::atomic<int> Completed{0};
-  for (int I = 0; I < 30; ++I)
-    Pool.submit([&Completed] {
-      std::this_thread::sleep_for(std::chrono::microseconds(200));
-      Completed.fetch_add(1, std::memory_order_relaxed);
-    });
-  Pool.drain();
-  EXPECT_EQ(Completed.load(), 30);
-  // The pool stays usable after a drain.
-  EXPECT_EQ(Pool.submit([] { return 7; }).get(), 7);
-}
-
-TEST(ThreadPool, SubmitAfterShutdownThrows) {
-  ThreadPool Pool(2);
-  Pool.shutdown();
-  EXPECT_THROW(Pool.submit([] { return 1; }), std::runtime_error);
-}
-
 TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
+  // A pool asked for no workers still gets one: while the caller's lane
+  // holds one of the two indices, the other can only run on a worker.
   ThreadPool Pool(0);
-  EXPECT_GE(Pool.workerCount(), 1u);
-  EXPECT_EQ(Pool.submit([] { return 3; }).get(), 3);
+  EXPECT_EQ(Pool.workerCount(), 1u);
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<int> Started{0};
+  std::atomic<bool> WorkerRan{false};
+  parallelFor(Pool, 2, [&](std::size_t) {
+    if (std::this_thread::get_id() != Caller)
+      WorkerRan.store(true);
+    Started.fetch_add(1);
+    auto Deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
+    while (Started.load() < 2 && std::chrono::steady_clock::now() < Deadline)
+      std::this_thread::yield();
+  });
+  EXPECT_TRUE(WorkerRan.load());
 }
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderConcurrentCallers) {
@@ -214,17 +102,32 @@ TEST(ParallelFor, ExceptionArrivesAfterAllClaimedWorkFinished) {
 }
 
 TEST(ParallelFor, CallFromInsidePoolTaskReturns) {
-  // The only worker runs the caller, so the helper it queues cannot start
-  // until the call returns: the caller must claim every index itself.
-  std::atomic<int> Ran{0};
+  // Every outer body calls parallelFor on the same pool. The caller's
+  // lane holds its first body until the only worker has started one, so
+  // at least one nested call runs on that worker: the helper it queues
+  // cannot start until the call returns, so the call must claim every
+  // index itself.
   ThreadPool Pool(1);
-  std::future<void> Outer = Pool.submit([&] {
-    parallelFor(Pool, 100, [&](std::size_t) { Ran.fetch_add(1); });
+  const std::size_t Outer = 16, Inner = 100;
+  const std::thread::id Caller = std::this_thread::get_id();
+  std::atomic<bool> WorkerStarted{false};
+  std::atomic<std::size_t> Ran{0}, Returned{0};
+  parallelFor(Pool, Outer, [&](std::size_t) {
+    if (std::this_thread::get_id() != Caller) {
+      WorkerStarted.store(true);
+    } else {
+      auto Deadline =
+          std::chrono::steady_clock::now() + std::chrono::seconds(10);
+      while (!WorkerStarted.load() &&
+             std::chrono::steady_clock::now() < Deadline)
+        std::this_thread::yield();
+    }
+    parallelFor(Pool, Inner, [&](std::size_t) { Ran.fetch_add(1); });
+    Returned.fetch_add(1);
   });
-  ASSERT_EQ(Outer.wait_for(std::chrono::seconds(10)),
-            std::future_status::ready);
-  Outer.get();
-  EXPECT_EQ(Ran.load(), 100);
+  EXPECT_TRUE(WorkerStarted.load());
+  EXPECT_EQ(Returned.load(), Outer);
+  EXPECT_EQ(Ran.load(), Outer * Inner);
 }
 
 TEST(ParallelFor, HostPoolLeavesTheCallerALane) {
