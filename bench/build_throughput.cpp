@@ -6,14 +6,15 @@
 // a measurement costs real blocking time the way a device kernel does),
 // bit-identity of the parallel Point sets against the serial build, the
 // cold latency of the partitioners over the built models, and the
-// hint-warm repeat-partition path: the same solve re-run through the
-// warm partitioners with a PartitionHint, which must return identical
-// unit counts at a fraction of the cold latency.
+// repeat-partition path: an engine::Session measured from the same plan
+// (its models are the serial build's bit for bit) answers one total,
+// then replays it from its memo, which must return identical unit
+// counts at a fraction of the first solve's latency.
 //
 // Output: a table on stdout and BENCH_build_throughput.json in the
 // working directory. With --smoke, runs a tiny configuration and exits
 // non-zero if parallel output diverges from serial, the partitioners
-// fail, or a warm repeat partition differs from its cold solve — the
+// fail, or a repeat partition differs from the first solve — the
 // tier-1 perf tripwire.
 //
 //===----------------------------------------------------------------------===//
@@ -21,6 +22,7 @@
 #include "core/Benchmark.h"
 #include "core/Metrics.h"
 #include "core/Partitioners.h"
+#include "engine/Session.h"
 #include "sim/Cluster.h"
 #include "support/Options.h"
 #include "support/Table.h"
@@ -84,40 +86,39 @@ PartitionStats measurePartition(const Partitioner &Algorithm,
   return S;
 }
 
-struct WarmStats {
-  double ColdSeconds = 0.0;
-  /// Seconds per hint-warm repeat (the epoch-validated memo path).
-  double WarmSeconds = 0.0;
+struct RepeatStats {
+  double FirstSeconds = 0.0;
+  /// Seconds per repeat (a replay of the Session's memo).
+  double RepeatSeconds = 0.0;
   double Speedup = 0.0;
   bool Identical = true;
   bool Ok = true;
 };
 
-/// Times one warm partitioner cold (empty hint) and across \p Reps
-/// hint-warm repeats, verifying every repeat returns the cold solve's
-/// unit counts exactly.
-WarmStats measureWarmPartition(const WarmPartitioner &Algorithm,
-                               std::int64_t Total,
-                               std::span<Model *const> Models, int Reps) {
-  PartitionHint Hint;
-  Dist Cold;
+/// Times the Session's first partition of \p Total with \p Algorithm and
+/// \p Reps repeats of it, verifying every repeat returns the first
+/// solve's unit counts exactly.
+RepeatStats measureRepeats(engine::Session &S, const std::string &Algorithm,
+                           std::int64_t Total, int Reps) {
   double T0 = now();
-  bool Ok = Algorithm(Total, Models, Cold, Hint);
+  Result<Dist> First = S.partition(Total, Algorithm);
   double T1 = now();
 
-  WarmStats S;
-  Dist Warm;
+  RepeatStats R;
+  R.Ok = First.ok() && First.value().sum() == Total;
+  if (!R.Ok)
+    return R;
   double T2 = now();
-  for (int R = 0; R < Reps; ++R) {
-    Ok = Algorithm(Total, Models, Warm, Hint) && Ok;
-    S.Identical = S.Identical && Warm.sameUnits(Cold);
+  for (int I = 0; I < Reps; ++I) {
+    Result<Dist> Again = S.partition(Total, Algorithm);
+    R.Identical =
+        R.Identical && Again.ok() && Again.value().sameUnits(First.value());
   }
   double T3 = now();
-  S.Ok = Ok && Cold.sum() == Total;
-  S.ColdSeconds = T1 - T0;
-  S.WarmSeconds = (T3 - T2) / Reps;
-  S.Speedup = S.WarmSeconds > 0.0 ? S.ColdSeconds / S.WarmSeconds : 0.0;
-  return S;
+  R.FirstSeconds = T1 - T0;
+  R.RepeatSeconds = (T3 - T2) / Reps;
+  R.Speedup = R.RepeatSeconds > 0.0 ? R.FirstSeconds / R.RepeatSeconds : 0.0;
+  return R;
 }
 
 } // namespace
@@ -202,24 +203,35 @@ int main(int Argc, char **Argv) {
   PartitionStats Num =
       measurePartition(partitionNumerical, Total, Models);
 
-  // Hint-warm repeats: the epoch-validated memo path of the warm
-  // partitioners, which --serve takes on every repeat request.
-  const int WarmReps = Smoke ? 20 : 200;
-  WarmStats GeoW = measureWarmPartition(partitionGeometricWarm, Total,
-                                        Models, WarmReps);
-  WarmStats NumW = measureWarmPartition(partitionNumericalWarm, Total,
-                                        Models, WarmReps);
+  // Repeats through a Session: the memo replay that --serve and the
+  // apps take on every repeat while the models are unchanged. The
+  // session measures without wall emulation; the models do not depend
+  // on it or on the worker count.
+  Plan.WallScale = 0.0;
+  engine::SessionConfig Cfg;
+  Cfg.Platform = Cl;
+  Cfg.ModelKind = Plan.Kind;
+  Result<std::unique_ptr<engine::Session>> Made =
+      engine::Session::create(std::move(Cfg));
+  if (!Made || !Made.value()->measure(Plan)) {
+    std::cout << "FAIL: cannot measure the repeat session\n";
+    return 1;
+  }
+  engine::Session &S = *Made.value();
+  const int Reps = Smoke ? 20 : 200;
+  RepeatStats GeoR = measureRepeats(S, "geometric", Total, Reps);
+  RepeatStats NumR = measureRepeats(S, "numerical", Total, Reps);
 
   std::cout << "\npartition latency (geometric): cold "
             << Geo.ColdSeconds * 1e6 << " us\n"
             << "partition latency (numerical): cold "
             << Num.ColdSeconds * 1e6 << " us\n"
-            << "hint-warm repeat (geometric): " << GeoW.WarmSeconds * 1e6
-            << " us (" << GeoW.Speedup << "x cold), units "
-            << (GeoW.Identical ? "identical" : "DIVERGED") << "\n"
-            << "hint-warm repeat (numerical): " << NumW.WarmSeconds * 1e6
-            << " us (" << NumW.Speedup << "x cold), units "
-            << (NumW.Identical ? "identical" : "DIVERGED") << "\n"
+            << "session repeat (geometric): " << GeoR.RepeatSeconds * 1e6
+            << " us (" << GeoR.Speedup << "x the first solve), units "
+            << (GeoR.Identical ? "identical" : "DIVERGED") << "\n"
+            << "session repeat (numerical): " << NumR.RepeatSeconds * 1e6
+            << " us (" << NumR.Speedup << "x the first solve), units "
+            << (NumR.Identical ? "identical" : "DIVERGED") << "\n"
             << "\nserial " << Seconds[0] << " s -> 8 workers "
             << Seconds[3] << " s (" << Speedup8 << "x), outputs "
             << (Identical ? "bit-identical" : "DIVERGED") << "\n";
@@ -238,41 +250,42 @@ int main(int Argc, char **Argv) {
                  "  \"speedup_8_workers\": %.3f,\n"
                  "  \"bit_identical\": %s,\n"
                  "  \"partition\": {\n"
-                 "    \"geometric\": {\"cold_us\": %.2f, \"hint_warm_us\": "
-                 "%.3f, \"hint_speedup\": %.1f},\n"
-                 "    \"numerical\": {\"cold_us\": %.2f, \"hint_warm_us\": "
-                 "%.3f, \"hint_speedup\": %.1f}\n"
+                 "    \"geometric\": {\"cold_us\": %.2f, \"repeat_us\": "
+                 "%.3f, \"repeat_speedup\": %.1f},\n"
+                 "    \"numerical\": {\"cold_us\": %.2f, \"repeat_us\": "
+                 "%.3f, \"repeat_speedup\": %.1f}\n"
                  "  },\n"
-                 "  \"hint_units_identical\": %s\n"
+                 "  \"repeat_units_identical\": %s\n"
                  "}\n",
                  Smoke ? "smoke" : "full", Ranks, Plan.NumPoints,
                  static_cast<long long>(Total), Seconds[0], Seconds[1],
                  Seconds[2], Seconds[3], Speedup8,
                  Identical ? "true" : "false", Geo.ColdSeconds * 1e6,
-                 GeoW.WarmSeconds * 1e6, GeoW.Speedup,
-                 Num.ColdSeconds * 1e6, NumW.WarmSeconds * 1e6, NumW.Speedup,
-                 GeoW.Identical && NumW.Identical ? "true" : "false");
+                 GeoR.RepeatSeconds * 1e6, GeoR.Speedup,
+                 Num.ColdSeconds * 1e6, NumR.RepeatSeconds * 1e6,
+                 NumR.Speedup,
+                 GeoR.Identical && NumR.Identical ? "true" : "false");
     std::fclose(J);
     std::cout << "# wrote BENCH_build_throughput.json\n";
   }
 
   // Tripwires. Determinism and partitioner health gate both modes; the
   // speedup floors gate the full run only (smoke is too short to time).
-  if (!Identical || !Geo.Ok || !Num.Ok || !GeoW.Ok || !NumW.Ok) {
+  if (!Identical || !Geo.Ok || !Num.Ok || !GeoR.Ok || !NumR.Ok) {
     std::cout << "FAIL: parallel build diverged or partitioning broke\n";
     return 1;
   }
-  if (!GeoW.Identical || !NumW.Identical) {
-    std::cout << "FAIL: hint-warm repeat partition diverged from cold\n";
+  if (!GeoR.Identical || !NumR.Identical) {
+    std::cout << "FAIL: repeat partition diverged from the first solve\n";
     return 1;
   }
   if (!Smoke && Speedup8 < 3.0) {
     std::cout << "FAIL: 8-worker speedup " << Speedup8 << " < 3x floor\n";
     return 1;
   }
-  if (!Smoke && (GeoW.Speedup < 10.0 || NumW.Speedup < 10.0)) {
-    std::cout << "FAIL: hint-warm speedup (geometric " << GeoW.Speedup
-              << "x, numerical " << NumW.Speedup << "x) < 10x floor\n";
+  if (!Smoke && (GeoR.Speedup < 10.0 || NumR.Speedup < 10.0)) {
+    std::cout << "FAIL: repeat speedup (geometric " << GeoR.Speedup
+              << "x, numerical " << NumR.Speedup << "x) < 10x floor\n";
     return 1;
   }
   return 0;

@@ -8,25 +8,7 @@
 
 using namespace fupermod;
 
-namespace {
-/// Source of fit-epoch values. Process-wide rather than per-model so a
-/// given value is only ever produced once: a warm-start hint that stored
-/// it can never be revalidated by a *different* model (or a later fit of
-/// the same model) that happens to share a per-object counter value.
-std::atomic<std::uint64_t> NextFitEpoch{1};
-
-std::uint64_t freshFitEpoch() {
-  return NextFitEpoch.fetch_add(1, std::memory_order_relaxed);
-}
-} // namespace
-
-Model::Model() : FitEpoch(freshFitEpoch()) {}
-
 Model::~Model() = default;
-
-void Model::bumpFitEpoch() {
-  FitEpoch.store(freshFitEpoch(), std::memory_order_relaxed);
-}
 
 void Model::timesAt(std::span<const double> Xs, std::span<double> Out) const {
   assert(Xs.size() == Out.size() && "mismatched batch spans");
@@ -41,38 +23,31 @@ bool Model::sameSize(double Known, double Units) {
 void Model::update(Point P) { updateAll(std::span<const Point>(&P, 1)); }
 
 void Model::updateAll(std::span<const Point> Ps) {
-  Change Needed = Change::None;
+  bool Refit = false;
   for (const Point &P : Ps)
-    Needed = std::max(Needed, apply(P));
-  if (Needed == Change::Fit)
-    refitAndBumpEpoch();
-  else if (Needed == Change::Cap)
-    bumpFitEpoch();
+    Refit = apply(P) || Refit;
+  if (Refit)
+    refit();
 }
 
-Model::Change Model::apply(const Point &P) {
+bool Model::apply(const Point &P) {
   if (P.deviceFault()) {
     // Timeout / hard failure: says nothing about the size's cost and
     // must not be mistaken for infeasibility of the size.
-    return Change::None;
+    return false;
   }
   if (P.Reps <= 0 || !std::isfinite(P.Time)) {
     // Failed measurement: the size exceeded what the device can execute
     // (e.g. GPU memory without an out-of-core mode). Remember the
     // tightest known limit so partitioners avoid the infeasible region.
-    // No refit is needed, but a tighter cap changes partitioning
-    // results, so the fit epoch must advance or a memoized warm-start
-    // solution would ignore the new cap.
-    if (P.Units > 0.0 && P.Units < MinInfeasible) {
+    // The fit reads only the stored points, so it stays as it is.
+    if (P.Units > 0.0 && P.Units < MinInfeasible)
       MinInfeasible = P.Units;
-      return Change::Cap;
-    }
-    return Change::None;
+    return false;
   }
   assert(P.Units > 0.0 && P.Time > 0.0 && "invalid experimental point");
   // A success at or above the recorded limit supersedes it (the failure
   // may have been transient or an out-of-core mode became available).
-  // The refit this point needs advances the epoch for the cap change too.
   if (P.Units >= MinInfeasible)
     MinInfeasible =
         std::nextafter(P.Units, std::numeric_limits<double>::infinity());
@@ -94,7 +69,7 @@ Model::Change Model::apply(const Point &P) {
       Existing.ConfidenceInterval =
           std::max(Existing.ConfidenceInterval, P.ConfidenceInterval);
       Weights[I] = W1 + W2;
-      return Change::Fit;
+      return true;
     }
   }
 
@@ -104,12 +79,7 @@ Model::Change Model::apply(const Point &P) {
   Weights.insert(Weights.begin() + (Pos - Points.begin()),
                  static_cast<double>(P.Reps));
   Points.insert(Pos, P);
-  return Change::Fit;
-}
-
-void Model::refitAndBumpEpoch() {
-  refit();
-  bumpFitEpoch();
+  return true;
 }
 
 void Model::setWeights(std::span<const double> NewWeights) {
@@ -143,7 +113,7 @@ void Model::decayWeights(double Factor) {
     }
   }
   if (Dropped)
-    refitAndBumpEpoch();
+    refit();
 }
 
 double Model::timeAt(double X) const {

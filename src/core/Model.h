@@ -30,7 +30,6 @@
 #include "interp/AkimaSpline.h"
 #include "support/Registry.h"
 
-#include <atomic>
 #include <cstdint>
 #include <limits>
 #include <memory>
@@ -43,7 +42,6 @@ namespace fupermod {
 /// Base class of all computation performance models.
 class Model {
 public:
-  Model();
   virtual ~Model();
 
   /// Short model-kind name ("cpm", "piecewise", "akima").
@@ -68,8 +66,7 @@ public:
   /// weights, cap and fit — is bit-identical to calling update() on each
   /// point in turn, because every kind's refit reads only the stored
   /// points; a static campaign of n sizes thus costs one fit instead of
-  /// n. fitEpoch() advances once if any point changed the fit or the
-  /// cap, and not at all otherwise.
+  /// n.
   void updateAll(std::span<const Point> Ps);
 
   /// True when a point at \p Units lands on the stored size \p Known,
@@ -131,14 +128,6 @@ public:
   std::uint64_t cacheLookups() const { return 0; }
   std::uint64_t cacheHits() const { return 0; }
 
-  /// Monotone identifier of the current fit. Every change that can alter
-  /// partitioning results — a refit or a feasibility-cap change — assigns
-  /// a fresh value drawn from a process-wide counter, so two epochs
-  /// compare equal only when they describe the same fit of the same
-  /// model object (values are never recycled across models). Warm-start
-  /// paths use this to prove a memoized solution is still exact.
-  std::uint64_t fitEpoch() const { return FitEpoch.load(); }
-
   /// Experimental points, sorted by size.
   const std::vector<Point> &points() const { return Points; }
 
@@ -152,33 +141,18 @@ protected:
   /// Model-specific refit after Points changed.
   virtual void refit() = 0;
 
-  /// Stamps a fresh process-wide unique value into fitEpoch(). Called by
-  /// the refit paths and by feasibility-cap changes that skip refitting.
-  void bumpFitEpoch();
-
   std::vector<Point> Points;
 
 private:
-  /// What applying one point changed, in increasing order of the work
-  /// needed to publish it: nothing, only the feasibility cap (a fresh
-  /// epoch), or the fitted points (a refit and a fresh epoch).
-  enum class Change { None, Cap, Fit };
-
   /// update()'s rules for one point without the refit: merges or inserts
-  /// it into Points and Weights and moves MinInfeasible.
-  Change apply(const Point &P);
-
-  /// Refits after Points changed and advances fitEpoch().
-  void refitAndBumpEpoch();
+  /// it into Points and Weights and moves MinInfeasible. Returns true
+  /// when the stored points changed, so the fit must be redone.
+  bool apply(const Point &P);
 
   /// Merge weight per point (parallel to Points); initialized to the
   /// point's repetition count and reduced by decayWeights().
   std::vector<double> Weights;
   double MinInfeasible = std::numeric_limits<double>::infinity();
-
-  /// See fitEpoch(); atomic so partition threads can validate warm-start
-  /// hints without a lock.
-  std::atomic<std::uint64_t> FitEpoch;
 };
 
 /// Constant performance model: speed does not depend on problem size.

@@ -22,17 +22,6 @@
 ///
 /// All algorithms produce integer unit counts summing exactly to D.
 ///
-/// Each algorithm also has a warm-started variant carrying a
-/// PartitionHint across calls. When nothing changed since the hint was
-/// recorded — same total, same fit epoch on every model — the previous
-/// solution is provably still exact and is returned without solving.
-/// When the models did change (incremental feedback), the solvers seed
-/// themselves from the hint: the geometric bisection brackets from the
-/// previous completion time and Newton starts from the previous real
-/// shares, falling back to the full cold path when the seed stalls. The
-/// cold entry points are untouched: a warm call with an empty hint takes
-/// exactly the cold code path.
-///
 //===----------------------------------------------------------------------===//
 
 #ifndef FUPERMOD_CORE_PARTITIONERS_H
@@ -68,58 +57,6 @@ PartitionerRegistry &partitionerRegistry();
 /// receives a diagnostic listing every registered algorithm.
 Partitioner findPartitioner(const std::string &Name,
                             std::string *Err = nullptr);
-
-/// Solution carried between warm-started partition calls. Records the
-/// last successful solve plus the fit epoch of every model it was solved
-/// against; the epochs prove at the next call whether the stored result
-/// is still exact (see Model::fitEpoch()). Owned by the caller — the
-/// warm partitioners read and overwrite it but never share it, so any
-/// required locking stays with the owner.
-struct PartitionHint {
-  /// False until a solve has been recorded.
-  bool Valid = false;
-  /// Problem size the stored solution distributes.
-  std::int64_t Total = 0;
-  /// Model::fitEpoch() of each model at solve time.
-  std::vector<std::uint64_t> FitEpochs;
-  /// The rounded integer solution and its predicted per-part times.
-  std::vector<std::int64_t> Units;
-  std::vector<double> PredictedTimes;
-  /// Real-valued shares before rounding — Newton's warm initial guess.
-  std::vector<double> Shares;
-  /// Geometric common completion time — the warm bisection bracket.
-  double Tau = 0.0;
-};
-
-/// A warm-started partitioning algorithm: like Partitioner, plus the
-/// caller-owned hint that is consulted before solving and refreshed
-/// after.
-using WarmPartitioner =
-    std::function<bool(std::int64_t Total, std::span<Model *const> Models,
-                       Dist &Out, PartitionHint &Hint)>;
-
-/// Warm-started counterparts of the static algorithms (semantics in the
-/// file comment; results match the cold functions for every hint state).
-bool partitionGeometricWarm(std::int64_t Total,
-                            std::span<Model *const> Models, Dist &Out,
-                            PartitionHint &Hint);
-bool partitionNumericalWarm(std::int64_t Total,
-                            std::span<Model *const> Models, Dist &Out,
-                            PartitionHint &Hint);
-
-/// The warm-partitioner registry ("geometric", "numerical" — algorithms
-/// with a bespoke seeded solve path register here).
-using WarmPartitionerRegistry = Registry<WarmPartitioner>;
-WarmPartitionerRegistry &warmPartitionerRegistry();
-
-/// Warm-started lookup by algorithm name. Algorithms in
-/// warmPartitionerRegistry() resolve to their seeded implementations;
-/// any other registered algorithm ("constant", application add-ons) is
-/// wrapped with the generic epoch-validated memo, which alone covers the
-/// repeat-partition fast path. Unknown names return a null function (and
-/// a diagnostic through \p Err like findPartitioner).
-WarmPartitioner findWarmPartitioner(const std::string &Name,
-                                    std::string *Err = nullptr);
 
 } // namespace fupermod
 

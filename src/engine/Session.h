@@ -39,15 +39,13 @@
 /// every mutation goes through a Session call that bumps the epoch.
 ///
 /// The session keeps one memo entry per (algorithm, total), and it is
-/// the engine's only reply cache. The entry holds the last successful
-/// solve as a PartitionHint, which warm-starts partition(): with
-/// unchanged models the answer is replayed, and right after a feedback
-/// delta or hot reload the solver is seeded from the previous solution.
-/// The hints validate themselves against the models' fit epochs, so
-/// results are always identical to a cold solve. The entry also holds
-/// the last rendered reply, which partitionRendered() returns as is
-/// while the model epoch is unchanged, since rendering costs several
-/// times the warm solve.
+/// the engine's only partition cache. The entry is the last answer as a
+/// PartitionReply: the Dist, the model epoch it was solved against and,
+/// once partitionRendered() has rendered it, the reply text. Every model
+/// mutation bumps the epoch under the exclusive lock and every solve
+/// holds the shared lock, so an entry stamped with the current epoch is
+/// the exact answer: partition() replays its Dist and
+/// partitionRendered() the whole reply, without solving.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,7 +54,6 @@
 
 #include "core/Benchmark.h"
 #include "core/Partition.h"
-#include "core/Partitioners.h"
 #include "equalize/Policy.h"
 #include "mpp/Runtime.h"
 #include "sim/Cluster.h"
@@ -68,7 +65,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <shared_mutex>
 #include <string>
 #include <vector>
@@ -233,7 +229,9 @@ public:
   /// \p Algorithm (empty = the session default). Excluded ranks receive
   /// zero units. Fails on unknown algorithm names (listing registered
   /// ones), unfitted models, or when the algorithm cannot produce a
-  /// valid distribution.
+  /// valid distribution. The answer is memoized per (algorithm, total);
+  /// while the model epoch is unchanged a repeat replays it without
+  /// solving.
   Result<Dist> partition(std::int64_t Total,
                          const std::string &Algorithm = "");
 
@@ -244,7 +242,8 @@ public:
   /// with equal (Epoch, Total, algorithm) are bit-identical. The reply
   /// is memoized per (algorithm, total); while the model epoch is
   /// unchanged a repeat returns it marked Memoized, without solving or
-  /// rendering.
+  /// rendering. An answer partition() memoized is rendered without
+  /// solving.
   Result<PartitionReply> partitionRendered(std::int64_t Total,
                                            const std::string &Algorithm = "");
 
@@ -310,7 +309,8 @@ private:
   /// excluded instead and a warning recorded. Caller holds StateMutex.
   Status loadSlot(ModelSlot &Slot, const std::string &Path, bool Degraded);
 
-  /// The solve itself; caller holds StateMutex (shared suffices).
+  /// The memoized answer while its epoch is current, else a solve that
+  /// is then memoized; caller holds StateMutex (shared suffices).
   /// \p Algorithm is already resolved (never empty).
   Result<Dist> partitionLocked(std::int64_t Total,
                                const std::string &Algorithm);
@@ -331,29 +331,23 @@ private:
   std::vector<std::string> Warnings;
   std::uint64_t Epoch = 0;
 
-  /// One memo entry per (algorithm, total): the warm-start hint of the
-  /// last successful solve, and the last rendered reply.
-  struct MemoEntry {
-    PartitionHint Hint;
-    /// Replayed by partitionRendered() while Reply->Epoch is current.
-    std::optional<PartitionReply> Reply;
-  };
+  /// One memo entry per (algorithm, total): the last PartitionReply,
+  /// whose Text stays empty until partitionRendered() renders it.
   using MemoKey = std::pair<std::string, std::int64_t>;
 
-  /// The entry for \p Key, created when absent. A full memo is cleared
-  /// first: that is rare at MaxHints distinct keys, and dropping all is
-  /// simpler than an eviction order (it only costs the next calls their
-  /// warm start). Caller holds HintMutex.
-  MemoEntry &memoEntry(const MemoKey &Key);
+  /// Stores \p Reply as the entry for \p Key. A full memo is cleared
+  /// first: that is rare at MaxMemoEntries distinct keys, and dropping
+  /// all is simpler than an eviction order (it only costs the next calls
+  /// a solve).
+  void remember(const MemoKey &Key, PartitionReply Reply);
 
   /// Guards Memo. It has its own mutex because partition() readers
-  /// share StateMutex yet must update it; each solve works on a copy of
-  /// the hint, so the lock is only held for lookup and write-back. Stale
-  /// entries are harmless: fit-epoch validation rejects a stale hint,
-  /// and the epoch check a stale reply.
-  std::mutex HintMutex;
-  std::map<MemoKey, MemoEntry> Memo;
-  static constexpr std::size_t MaxHints = 128;
+  /// share StateMutex yet must update it; it is held for a lookup or a
+  /// write, never across a solve. Entries of an older epoch are
+  /// harmless: the epoch check skips them.
+  std::mutex MemoMutex;
+  std::map<MemoKey, PartitionReply> Memo;
+  static constexpr std::size_t MaxMemoEntries = 128;
 
   /// Folded counter snapshots of the session's SPMD runs (see
   /// commTraffic()).

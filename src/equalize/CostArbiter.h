@@ -15,9 +15,8 @@
 ///    bytes through the link's Hockney parameters, with the makespan hit
 ///    taken as the busiest single rank's send + receive volume (the
 ///    moves of different rank pairs overlap in the runtime);
-///  - the repartition solve itself (warm-started solves are cheap but
-///    not free — the caller estimates them, e.g. from the session's
-///    warm-start hit latency);
+///  - the repartition solve itself (cheap but not free — the caller
+///    estimates it, e.g. from the session's repartition solve latency);
 ///  - halo re-setup after the ranges shift;
 ///
 /// — against what it would *save*: the difference between the measured

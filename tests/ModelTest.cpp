@@ -193,8 +193,6 @@ TEST(ModelUpdate, UpdateAllEqualsSequentialUpdates) {
         Seq->update(P);
         Batch->update(P);
       }
-      std::uint64_t SeqBefore = Seq->fitEpoch();
-      std::uint64_t BatchBefore = Batch->fitEpoch();
       for (const Point &P : C.Batch)
         Seq->update(P);
       Batch->updateAll(C.Batch);
@@ -203,8 +201,6 @@ TEST(ModelUpdate, UpdateAllEqualsSequentialUpdates) {
       EXPECT_EQ(Batch->weights(), Seq->weights());
       EXPECT_EQ(std::bit_cast<std::uint64_t>(Batch->feasibleLimit()),
                 std::bit_cast<std::uint64_t>(Seq->feasibleLimit()));
-      EXPECT_EQ(Batch->fitEpoch() != BatchBefore,
-                Seq->fitEpoch() != SeqBefore);
       ASSERT_EQ(Batch->fitted(), Seq->fitted());
       if (!Seq->fitted())
         continue;
@@ -476,63 +472,4 @@ TEST(ModelShape, FunctionalModelsSeeTheCliff) {
     double After = M->speedAt(1100.0);
     EXPECT_GT(Before, 1.5 * After) << Kind;
   }
-}
-
-TEST(FitEpoch, AdvancesOnEveryFitChange) {
-  PiecewiseModel M;
-  std::uint64_t E0 = M.fitEpoch();
-  M.update(makePoint(100.0, 1.0));
-  std::uint64_t E1 = M.fitEpoch();
-  EXPECT_NE(E1, E0);
-  M.update(makePoint(1000.0, 10.0));
-  std::uint64_t E2 = M.fitEpoch();
-  EXPECT_NE(E2, E1);
-  // Merging feedback into an existing point refits too.
-  M.update(makePoint(1000.0, 12.0));
-  EXPECT_NE(M.fitEpoch(), E2);
-}
-
-TEST(FitEpoch, AdvancesWhenFeasibilityCapTightens) {
-  // A failed measurement (Reps == 0) refits nothing, but a tighter cap
-  // changes partitioning results, so memoized warm-start solutions must
-  // stop validating.
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0));
-  M.update(makePoint(1000.0, 10.0));
-  std::uint64_t E = M.fitEpoch();
-  Point Fail;
-  Fail.Units = 5000.0;
-  Fail.Time = std::numeric_limits<double>::infinity();
-  Fail.Reps = 0;
-  M.update(Fail);
-  EXPECT_NE(M.fitEpoch(), E);
-  EXPECT_DOUBLE_EQ(M.feasibleLimit(), 5000.0);
-  // A looser failure than the recorded cap changes nothing.
-  std::uint64_t E2 = M.fitEpoch();
-  Fail.Units = 6000.0;
-  M.update(Fail);
-  EXPECT_EQ(M.fitEpoch(), E2);
-}
-
-TEST(FitEpoch, AdvancesWhenDecayDropsPoints) {
-  PiecewiseModel M;
-  M.update(makePoint(100.0, 1.0, /*Reps=*/10));
-  M.update(makePoint(1000.0, 10.0, /*Reps=*/1));
-  std::uint64_t E = M.fitEpoch();
-  M.decayWeights(1.0); // No-op: the fit is unchanged.
-  EXPECT_EQ(M.fitEpoch(), E);
-  M.decayWeights(0.1); // The weight-1 point decays below the keep floor.
-  EXPECT_NE(M.fitEpoch(), E);
-  EXPECT_EQ(M.points().size(), 1u);
-}
-
-TEST(FitEpoch, NeverSharedAcrossModels) {
-  // Epochs are drawn from a process-wide counter, so equality proves the
-  // same fit of the same model object — two models fed identical data
-  // still differ, and a warm-start hint can never validate against the
-  // wrong model.
-  PiecewiseModel A, B;
-  A.update(makePoint(100.0, 1.0));
-  B.update(makePoint(100.0, 1.0));
-  EXPECT_NE(A.fitEpoch(), B.fitEpoch());
 }
