@@ -111,8 +111,7 @@ PolicyResult runJacobiPolicy(const Cluster &Cl, const std::string &Policy,
   Out.Name = Policy;
   Out.Makespan = R.Makespan;
   Out.RedistBytes = R.Comm.RedistributeBytes;
-  Out.Hash = fnv1a(std::as_bytes(std::span<const double>(R.Solution)),
-                   Fnv1aLegacySeed);
+  Out.Hash = fnv1a(std::as_bytes(std::span<const double>(R.Solution)));
   Out.Stats = R.Equalize;
   if (TraceOut)
     *TraceOut = R.Iterations;
@@ -198,8 +197,7 @@ PolicyResult runSyntheticPolicy(const Cluster &Cl, const std::string &Policy,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (Me == 0) {
-          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
-                       Fnv1aLegacySeed);
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)));
           Stats = Eq->stats();
         }
       },

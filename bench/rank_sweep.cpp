@@ -125,14 +125,14 @@ VirtualRun measureVirtual(int P, const std::shared_ptr<const CostModel> &Cost,
 
         // Every rank hashes what it saw; the root folds the lot so a
         // divergence anywhere flips the final hash.
-        std::uint64_t H = fnv1a(Data, Fnv1aLegacySeed);
+        std::uint64_t H = fnv1a(Data);
         std::vector<std::byte> HB(sizeof(H));
         std::memcpy(HB.data(), &H, sizeof(H));
         std::vector<std::byte> AllH = C.gathervBytes(HB, Root);
         if (C.rank() == Root) {
           Out.BcastVirtual = B1 - B0;
           Out.GatherVirtual = G1 - G0;
-          Out.Hash = fnv1a(All, fnv1a(AllH, Fnv1aLegacySeed));
+          Out.Hash = fnv1a(All, fnv1a(AllH));
         }
       },
       Cost, Opts);

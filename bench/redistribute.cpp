@@ -142,8 +142,7 @@ runGatherScatter(const std::vector<std::vector<std::int64_t>> &Schedule,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(Local), 0);
         if (Me == 0)
-          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
-                       Fnv1aLegacySeed);
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)));
       },
       Cost);
   Out.WallSeconds = now() - Wall;
@@ -192,8 +191,7 @@ runIntervalOverlap(const std::vector<std::vector<std::int64_t>> &Schedule,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (C.rank() == 0)
-          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
-                       Fnv1aLegacySeed);
+          Hash = fnv1a(std::as_bytes(std::span<const double>(Final)));
       },
       Cost);
   Out.WallSeconds = now() - Wall;

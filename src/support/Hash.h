@@ -24,14 +24,6 @@ namespace fupermod {
 /// The FNV-1a 64 offset basis: the digest of no bytes.
 inline constexpr std::uint64_t Fnv1aBasis = 0xcbf29ce484222325ull;
 
-/// The start value the Jacobi and Stencil regression pins, the equalize,
-/// redistribute and rank-sweep bench hashes and the serve path's
-/// model-file fingerprints were captured with: the offset basis with its
-/// last decimal digit dropped (the basis is 14695981039346656037).
-/// Passing it to fnv1a() keeps those recorded values; as a start value
-/// it mixes as well as the basis.
-inline constexpr std::uint64_t Fnv1aLegacySeed = 1469598103934665603ull;
-
 /// Byte-wise FNV-1a 64 of \p Data, continuing from \p Hash: each byte is
 /// xored into the low byte of the state, which is then multiplied by the
 /// FNV prime. fnv1a(B, fnv1a(A)) equals fnv1a of A followed by B.

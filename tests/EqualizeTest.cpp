@@ -566,8 +566,7 @@ PolicyOutcome runPolicy(const Cluster &Cl, const EqualizeConfig &Cfg,
         std::vector<double> Final =
             C.gatherv(std::span<const double>(V.local()), 0);
         if (Me == 0) {
-          Out.Hash = fnv1a(std::as_bytes(std::span<const double>(Final)),
-                           Fnv1aLegacySeed);
+          Out.Hash = fnv1a(std::as_bytes(std::span<const double>(Final)));
           Out.Stats = Eq->stats();
         }
       },
@@ -677,6 +676,6 @@ TEST(EqualizeStress, EveryRoundChurnKeepsDataIntact) {
   std::vector<double> Expected(static_cast<std::size_t>(Total) * Width);
   for (std::size_t I = 0; I < Expected.size(); ++I)
     Expected[I] = static_cast<double>(I);
-  EXPECT_EQ(Out.Hash, fnv1a(std::as_bytes(std::span<const double>(Expected)),
-                            Fnv1aLegacySeed));
+  EXPECT_EQ(Out.Hash,
+            fnv1a(std::as_bytes(std::span<const double>(Expected))));
 }
