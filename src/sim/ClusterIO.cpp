@@ -35,7 +35,8 @@ bool parseDevice(std::istringstream &LS, Cluster &Out, std::string *Error) {
   } else if (Form == "cpu" || Form == "contended") {
     double Peak, Ramp, Cliff, Width, Drop;
     if (!(LS >> Peak >> Ramp >> Cliff >> Width >> Drop) || Peak <= 0.0 ||
-        Cliff <= 0.0 || Width <= 0.0 || Drop < 0.0 || Drop >= 1.0)
+        Ramp < 0.0 || Cliff <= 0.0 || Width <= 0.0 || Drop < 0.0 ||
+        Drop >= 1.0)
       return fail(Error, "malformed cpu device parameters");
     DeviceProfile P = makeCpuProfile(Name, Peak, Ramp, Cliff, Width, Drop);
     if (Form == "contended") {

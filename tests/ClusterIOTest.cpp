@@ -71,6 +71,26 @@ TEST(ClusterIO, RejectsMalformedInput) {
   }
 }
 
+TEST(ClusterIO, RejectsANegativeCpuRamp) {
+  // makeCpuProfile requires a ramp of at least 0. Only its assert checked
+  // that, so a build without asserts ran such a device with no ramp.
+  const char *Bad[] = {
+      "device 0 cpu a 1000 -50 1500 200 0.5\n",
+      "device 0 contended a 1000 -50 1500 200 0.5 3 0.25\n",
+  };
+  for (const char *Text : Bad) {
+    std::istringstream IS(Text);
+    std::string Error;
+    EXPECT_FALSE(parseCluster(IS, &Error).has_value()) << Text;
+    EXPECT_NE(Error.find("malformed cpu device parameters"),
+              std::string::npos)
+        << Error;
+  }
+  // A ramp of 0 (full speed from the first unit) stays valid.
+  std::istringstream Zero("device 0 cpu a 1000 0 1500 200 0.5\n");
+  EXPECT_TRUE(parseCluster(Zero).has_value());
+}
+
 TEST(ClusterIO, ParsesAllFaultForms) {
   std::istringstream IS(R"(
 device 0 constant a 10
