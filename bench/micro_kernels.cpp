@@ -8,7 +8,8 @@
 //  - bare invocation: the google-benchmark suite, as before;
 //  - --gflops (or --smoke): a hand-rolled GEMM throughput phase that
 //    pits gemmNaive / gemmBlocked / gemmMicro against each other, checks
-//    that the micro-kernel's result is byte-equal to gemmBlocked's,
+//    that the micro-kernel's results (gemmMicro and gemmMicroUnpacked)
+//    are byte-equal to gemmBlocked's,
 //    writes BENCH_micro_kernels.json, and exits non-zero on a differing
 //    byte — or, in the full run on an AVX2 machine, on a micro-kernel that
 //    fails to reach 2x the blocked kernel's GFLOPS. --smoke shrinks the
@@ -258,13 +259,16 @@ int runGflopsPhase(bool Smoke) {
     fillDeterministic(B, 2);
     fillDeterministic(C0, 3);
 
-    // Correctness first: the micro-kernel result must be byte-equal to
-    // the blocked kernel's (both start from the same C0 so accumulation
-    // is included).
-    std::vector<double> Cb = C0, Cm = C0;
+    // Correctness first: the micro-kernel results, packed and read in
+    // place, must be byte-equal to the blocked kernel's (all start from
+    // the same C0 so accumulation is included).
+    std::vector<double> Cb = C0, Cm = C0, Cu = C0;
     gemmBlocked(N, N, N, A, B, Cb);
     gemmMicro(N, N, N, A, B, Cm);
-    bool Ok = std::memcmp(Cb.data(), Cm.data(), N * N * sizeof(double)) == 0;
+    gemmMicroUnpacked(N, N, N, A, N, B, N, Cu, N);
+    bool Ok =
+        std::memcmp(Cb.data(), Cm.data(), N * N * sizeof(double)) == 0 &&
+        std::memcmp(Cb.data(), Cu.data(), N * N * sizeof(double)) == 0;
     Identical = Identical && Ok;
 
     double Flops = gemmFlops(N, N, N);

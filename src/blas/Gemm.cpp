@@ -96,13 +96,14 @@ static_assert(BandRows % MR == 0, "bands must hold whole register tiles");
 // -ffp-contract=off so the compiler never fuses them either.
 
 void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
-                  const double *Bp, double *C, std::size_t Ldc) {
+                  const double *B, std::size_t Ldb, double *C,
+                  std::size_t Ldc) {
   double Acc[MR][NR];
   for (std::size_t R = 0; R < MR; ++R)
     for (std::size_t J = 0; J < NR; ++J)
       Acc[R][J] = C[R * Ldc + J];
   for (std::size_t L = 0; L < Kb; ++L) {
-    const double *BRow = Bp + L * NR;
+    const double *BRow = B + L * Ldb;
     for (std::size_t R = 0; R < MR; ++R) {
       double AR = A[R * Lda + L];
 #pragma omp simd
@@ -120,8 +121,8 @@ void tilePortable(std::size_t Kb, const double *A, std::size_t Lda,
 // instructions, two roundings. The row loops are unrolled so the eight
 // accumulators live in registers at -O2 too, not on the stack.
 __attribute__((target("avx2"))) void
-tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
-         double *C, std::size_t Ldc) {
+tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *B,
+         std::size_t Ldb, double *C, std::size_t Ldc) {
   __m256d Acc[MR][2];
 #pragma GCC unroll 4
   for (std::size_t R = 0; R < MR; ++R) {
@@ -129,8 +130,8 @@ tileAvx2(std::size_t Kb, const double *A, std::size_t Lda, const double *Bp,
     Acc[R][1] = _mm256_loadu_pd(C + R * Ldc + 4);
   }
   for (std::size_t L = 0; L < Kb; ++L) {
-    __m256d B0 = _mm256_loadu_pd(Bp + L * NR);
-    __m256d B1 = _mm256_loadu_pd(Bp + L * NR + 4);
+    __m256d B0 = _mm256_loadu_pd(B + L * Ldb);
+    __m256d B1 = _mm256_loadu_pd(B + L * Ldb + 4);
 #pragma GCC unroll 4
     for (std::size_t R = 0; R < MR; ++R) {
       __m256d AR = _mm256_broadcast_sd(A + R * Lda + L);
@@ -159,20 +160,21 @@ const MicroDispatch &microDispatch() {
 }
 
 /// Scalar edge accumulation for rows [I0, IMax) x cols [J0, JMax) over
-/// the K strip [L0, L0 + Kb): each element is finished in a register, l
-/// ascending — the same per-element order as the tiles.
+/// depth Kb, each operand at its own row stride: each element is
+/// finished in a register, l ascending — the same per-element order as
+/// the tiles.
 void microEdge(std::size_t I0, std::size_t IMax, std::size_t J0,
-               std::size_t JMax, std::size_t L0, std::size_t Kb,
-               std::size_t N, std::size_t K, const double *A,
-               const double *B, double *C) {
+               std::size_t JMax, std::size_t Kb, const double *A,
+               std::size_t Lda, const double *B, std::size_t Ldb, double *C,
+               std::size_t Ldc) {
   for (std::size_t I = I0; I < IMax; ++I) {
-    const double *ARow = A + I * K + L0;
+    const double *ARow = A + I * Lda;
     for (std::size_t J = J0; J < JMax; ++J) {
-      double S = C[I * N + J];
-      const double *BCol = B + L0 * N + J;
+      double S = C[I * Ldc + J];
+      const double *BCol = B + J;
       for (std::size_t L = 0; L < Kb; ++L)
-        S += ARow[L] * BCol[L * N];
-      C[I * N + J] = S;
+        S += ARow[L] * BCol[L * Ldb];
+      C[I * Ldc + J] = S;
     }
   }
 }
@@ -191,26 +193,37 @@ void packStrip(std::size_t L0, std::size_t Kb, std::size_t N,
   }
 }
 
-/// Rows [I0, I1) of C += A * B over the K strip [L0, L0 + Kb), whose
-/// panels packStrip wrote to \p Packed. \p I0 is a multiple of MR, so
-/// every row gets the same tile or edge path a call over all rows gives
-/// it.
-void microStripRows(GemmTileFn Tile, std::size_t I0, std::size_t I1,
-                    std::size_t L0, std::size_t Kb, std::size_t N,
-                    std::size_t K, const double *A, const double *B,
-                    const double *Packed, double *C) {
+/// Where the tiles find B's full NR-column panels: panel p starts at
+/// First + p * Step and its rows are Ld apart. A packed strip has Step =
+/// Kb * NR and Ld = NR; B read in place has Step = NR and Ld = its row
+/// stride.
+struct Panels {
+  const double *First;
+  std::size_t Step;
+  std::size_t Ld;
+};
+
+/// Rows [I0, I1) of C (N columns, row stride Ldc) += A (depth Kb, row
+/// stride Lda) * B (row stride Ldb), with the tiles reading B's full
+/// panels from \p Bp and microEdge reading the remainder columns from B.
+/// \p I0 is a multiple of MR, so every row gets the same tile or edge
+/// path a call over all rows gives it.
+void microRows(GemmTileFn Tile, std::size_t I0, std::size_t I1, std::size_t N,
+               std::size_t Kb, const double *A, std::size_t Lda,
+               const double *B, std::size_t Ldb, Panels Bp, double *C,
+               std::size_t Ldc) {
   const std::size_t NPanels = N / NR;
   const std::size_t NFull = NPanels * NR;
   const std::size_t IFull = I0 + (I1 - I0) / MR * MR;
   for (std::size_t I = I0; I < IFull; I += MR) {
-    const double *ARows = A + I * K + L0;
     for (std::size_t P = 0; P < NPanels; ++P)
-      Tile(Kb, ARows, K, Packed + P * Kb * NR, C + I * N + P * NR, N);
+      Tile(Kb, A + I * Lda, Lda, Bp.First + P * Bp.Step, Bp.Ld,
+           C + I * Ldc + P * NR, Ldc);
     if (NFull < N)
-      microEdge(I, I + MR, NFull, N, L0, Kb, N, K, A, B, C);
+      microEdge(I, I + MR, NFull, N, Kb, A, Lda, B, Ldb, C, Ldc);
   }
   if (IFull < I1)
-    microEdge(IFull, I1, 0, N, L0, Kb, N, K, A, B, C);
+    microEdge(IFull, I1, 0, N, Kb, A, Lda, B, Ldb, C, Ldc);
 }
 
 } // namespace
@@ -255,9 +268,32 @@ void fupermod::gemmMicroWithTile(GemmTileFn Tile, std::size_t M,
   for (std::size_t L0 = 0; L0 < K; L0 += KC) {
     const std::size_t Kb = std::min(KC, K - L0);
     packStrip(L0, Kb, N, B.data(), Packed.data());
-    microStripRows(Tile, 0, M, L0, Kb, N, K, A.data(), B.data(),
-                   Packed.data(), C.data());
+    microRows(Tile, 0, M, N, Kb, A.data() + L0, K, B.data() + L0 * N, N,
+              {Packed.data(), Kb * NR, NR}, C.data(), N);
   }
+}
+
+void fupermod::gemmMicroUnpacked(std::size_t M, std::size_t N, std::size_t K,
+                                 std::span<const double> A, std::size_t Lda,
+                                 std::span<const double> B, std::size_t Ldb,
+                                 std::span<double> C, std::size_t Ldc) {
+  gemmMicroUnpackedWithTile(microDispatch().Tile, M, N, K, A, Lda, B, Ldb, C,
+                            Ldc);
+}
+
+void fupermod::gemmMicroUnpackedWithTile(
+    GemmTileFn Tile, std::size_t M, std::size_t N, std::size_t K,
+    std::span<const double> A, std::size_t Lda, std::span<const double> B,
+    std::size_t Ldb, std::span<double> C, std::size_t Ldc) {
+  assert(Lda >= K && Ldb >= N && Ldc >= N && "row stride below row length");
+  assert((M == 0 || (A.size() >= (M - 1) * Lda + K &&
+                     C.size() >= (M - 1) * Ldc + N)) &&
+         (K == 0 || B.size() >= (K - 1) * Ldb + N) &&
+         "matrix buffers too small");
+  // The tiles read B's panels in place, so the whole depth is one strip:
+  // each element still accumulates over l ascending.
+  microRows(Tile, 0, M, N, K, A.data(), Lda, B.data(), Ldb,
+            {B.data(), NR, Ldb}, C.data(), Ldc);
 }
 
 void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
@@ -301,8 +337,9 @@ void fupermod::gemmParallel(std::size_t M, std::size_t N, std::size_t K,
     packStrip(L0, Kb, N, B.data(), Packed.get());
     parallelFor(Pool, Bands, [&](std::size_t Band) {
       std::size_t Row0 = Band * BandRows;
-      microStripRows(TileFn, Row0, std::min(M, Row0 + BandRows), L0, Kb, N,
-                     K, A.data(), B.data(), Packed.get(), C.data());
+      microRows(TileFn, Row0, std::min(M, Row0 + BandRows), N, Kb,
+                A.data() + L0, K, B.data() + L0 * N, N,
+                {Packed.get(), Kb * NR, NR}, C.data(), N);
     });
   }
 }

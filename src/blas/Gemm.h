@@ -15,12 +15,14 @@
 ///  - gemmMicro: register-blocked micro-kernel (packed B panels, 4x8
 ///    register tiles) dispatched at runtime by CPUID between an AVX2
 ///    implementation and a portable `#pragma omp simd` tile — the
-///    stand-in for a tuned vendor BLAS;
+///    stand-in for a tuned vendor BLAS; gemmMicroUnpacked runs the same
+///    tiles on strided operands read in place;
 ///  - gemmParallel: gemmBlocked (or gemmMicro) over horizontal row bands
 ///    spread by parallelFor over a ThreadPool, the stand-in for a
 ///    multithreaded BLAS.
 ///
-/// All matrices are row-major and contiguous: C (MxN) += A (MxK) * B (KxN).
+/// All matrices are row-major and, except for gemmMicroUnpacked's,
+/// contiguous: C (MxN) += A (MxK) * B (KxN).
 /// Every kernel accumulates each C element over l = 0..K-1 in ascending
 /// order with separate multiply and add roundings (the library is built
 /// with -ffp-contract=off, and the AVX2 tile uses no FMA), so for
@@ -61,6 +63,17 @@ void gemmBlocked(std::size_t M, std::size_t N, std::size_t K,
 void gemmMicro(std::size_t M, std::size_t N, std::size_t K,
                std::span<const double> A, std::span<const double> B,
                std::span<double> C);
+
+/// C += A * B through gemmMicro's register tiles, reading every operand in
+/// place at its own row stride: A is M x K at row stride \p Lda, B is
+/// K x N at row stride \p Ldb and C is M x N at row stride \p Ldc. B is
+/// not packed, so a caller can multiply blocks that sit in separate
+/// buffers, or inside larger matrices, without copying them. Bit-identical
+/// to gemmBlocked on the same elements.
+void gemmMicroUnpacked(std::size_t M, std::size_t N, std::size_t K,
+                       std::span<const double> A, std::size_t Lda,
+                       std::span<const double> B, std::size_t Ldb,
+                       std::span<double> C, std::size_t Ldc);
 
 /// Instruction set the micro-kernel dispatcher resolved to on this
 /// machine (decided once, on first use or query).

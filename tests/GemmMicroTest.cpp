@@ -1,8 +1,9 @@
 //===-- tests/GemmMicroTest.cpp - register-blocked micro-kernel tests -----===//
 //
-// The micro-kernel's contract (blas/Gemm.h): gemmMicro is bit-identical
-// to gemmBlocked whichever tile body runs — each product and each sum is
-// rounded separately, in the same ascending-l order per element; banding
+// The micro-kernel's contract (blas/Gemm.h): gemmMicro, and
+// gemmMicroUnpacked on strided operands, are bit-identical to gemmBlocked
+// whichever tile body runs — each product and each sum is rounded
+// separately, in the same ascending-l order per element; banding
 // in gemmParallel never changes that order, so the parallel micro path is
 // bit-identical too; and the ISA is resolved once per process by CPUID
 // dispatch.
@@ -17,8 +18,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <vector>
 
 using namespace fupermod;
@@ -34,6 +37,17 @@ bool bytesEqual(const std::vector<double> &X, const std::vector<double> &Y) {
          std::memcmp(X.data(), Y.data(), X.size() * sizeof(double)) == 0;
 }
 
+/// \p Dense (Rows x Cols, row-major) stored at row stride \p Ld, with
+/// \p Pad in every element past the end of a row.
+std::vector<double> strided(const std::vector<double> &Dense, std::size_t Rows,
+                            std::size_t Cols, std::size_t Ld, double Pad) {
+  std::vector<double> Out(Rows * Ld, Pad);
+  for (std::size_t I = 0; I < Rows; ++I)
+    std::copy_n(Dense.begin() + static_cast<std::ptrdiff_t>(I * Cols), Cols,
+                Out.begin() + static_cast<std::ptrdiff_t>(I * Ld));
+  return Out;
+}
+
 } // namespace
 
 TEST(GemmMicro, BitIdenticalToBlocked) {
@@ -45,6 +59,12 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
       {33, 40, 5},  {1, 1, 1}, {3, 70, 2}, {13, 21, 300},
   };
   ASSERT_NE(gemmMicroTile(GemmIsa::Portable), nullptr);
+  // gemmMicroUnpacked reads every operand in place at its own row
+  // stride, so it also runs with each operand inside wider rows: it must
+  // leave the elements between C's rows alone, and A and B are padded
+  // with NaN, so a read past a row's end shows in C.
+  const double Untouched = 12345.0;
+  const double Poison = std::numeric_limits<double>::quiet_NaN();
 
   std::uint64_t Seed = 0x5eed;
   for (Shape S : Shapes) {
@@ -71,6 +91,30 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
       EXPECT_TRUE(bytesEqual(Micro, Blocked))
           << gemmIsaName(Isa) << " tile on " << S.M << "x" << S.N << "x"
           << S.K;
+    }
+
+    for (std::size_t Pad : {0u, 3u, 8u}) {
+      const std::size_t Lda = S.K + Pad, Ldb = S.N + 2 * Pad,
+                        Ldc = S.N + 3 * Pad;
+      std::vector<double> As = strided(A, S.M, S.K, Lda, Poison);
+      std::vector<double> Bs = strided(B, S.K, S.N, Ldb, Poison);
+      std::vector<double> Want = strided(Blocked, S.M, S.N, Ldc, Untouched);
+      std::vector<double> Unpacked = strided(C0, S.M, S.N, Ldc, Untouched);
+      gemmMicroUnpacked(S.M, S.N, S.K, As, Lda, Bs, Ldb, Unpacked, Ldc);
+      EXPECT_TRUE(bytesEqual(Unpacked, Want))
+          << "gemmMicroUnpacked (" << gemmIsaName(gemmMicroIsa()) << ") on "
+          << S.M << "x" << S.N << "x" << S.K << ", pad " << Pad;
+      for (GemmIsa Isa : {GemmIsa::Portable, GemmIsa::Avx2}) {
+        GemmTileFn Tile = gemmMicroTile(Isa);
+        if (!Tile)
+          continue;
+        std::vector<double> Cs = strided(C0, S.M, S.N, Ldc, Untouched);
+        gemmMicroUnpackedWithTile(Tile, S.M, S.N, S.K, As, Lda, Bs, Ldb, Cs,
+                                  Ldc);
+        EXPECT_TRUE(bytesEqual(Cs, Want))
+            << gemmIsaName(Isa) << " unpacked tile on " << S.M << "x" << S.N
+            << "x" << S.K << ", pad " << Pad;
+      }
     }
   }
 }
