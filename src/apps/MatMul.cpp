@@ -7,9 +7,10 @@
 #include "support/Hash.h"
 #include "support/ThreadPool.h"
 
+#include <algorithm>
+#include <atomic>
 #include <cassert>
-#include <cmath>
-#include <cstring>
+#include <cstdint>
 
 using namespace fupermod;
 
@@ -37,14 +38,6 @@ void fillBlock(int MatId, int Row, int Col, std::span<double> Block) {
   fillDeterministic(Block, Seed);
 }
 
-/// One b x b block, as fillBlock fills it.
-std::vector<double> makeBlock(int MatId, int Row, int Col, int B) {
-  std::vector<double> Block(static_cast<std::size_t>(B) *
-                            static_cast<std::size_t>(B));
-  fillBlock(MatId, Row, Col, Block);
-  return Block;
-}
-
 /// Pivot fragments of one pipeline step: the A pivot-column blocks this
 /// rectangle's rows need and the B pivot-row blocks its columns need.
 /// Own blocks are filled immediately; remote ones either arrive through
@@ -55,6 +48,22 @@ struct StepBuffers {
   std::vector<Payload> BFrag;
   std::vector<RecvRequest> AReq;
   std::vector<RecvRequest> BReq;
+};
+
+/// What one rank's step loop leaves to the arithmetic job after runSpmd.
+struct RankProduct {
+  /// The fragments of every step the rank finished, in step order:
+  /// AFrags holds H blocks per step (one per block row), BFrags W (one
+  /// per block column).
+  std::vector<Payload> AFrags;
+  std::vector<Payload> BFrags;
+  std::size_t Steps = 0;
+  /// The rank's C rectangle, one contiguous (H*B) x (W*B) row-major
+  /// matrix.
+  std::vector<double> CRect;
+  /// Block rows of CRect still to accumulate; the lane that takes it to
+  /// zero digests the rectangle.
+  std::atomic<std::size_t> RowsLeft{0};
 };
 
 } // namespace
@@ -69,65 +78,88 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
          "one rectangle per rank expected");
   assert(tilesGrid(Rects, N) && "rectangles must tile the block grid");
   assert(N > 0 && N < 1024 && "block grid too large for the tag scheme");
+  const auto NN = static_cast<std::size_t>(N) * static_cast<std::size_t>(N);
+  const auto BS = static_cast<std::size_t>(B);
+  const std::size_t BB = BS * BS;
+  // Block (Row, Col) of the grid is entry Row * N + Col of every
+  // grid-wide table below.
+  auto BlockAt = [N](int Row, int Col) {
+    return static_cast<std::size_t>(Row) * static_cast<std::size_t>(N) +
+           static_cast<std::size_t>(Col);
+  };
 
   // Owner lookup for every block of the grid.
-  std::vector<int> OwnerOf(static_cast<std::size_t>(N) *
-                               static_cast<std::size_t>(N),
-                           -1);
+  std::vector<int> OwnerOf(NN, -1);
   for (const GridRect &R : Rects)
     for (int Col = R.X; Col < R.X + R.W; ++Col)
       for (int Row = R.Y; Row < R.Y + R.H; ++Row)
-        OwnerOf[static_cast<std::size_t>(Row) * static_cast<std::size_t>(N) +
-                static_cast<std::size_t>(Col)] = R.Owner;
+        OwnerOf[BlockAt(Row, Col)] = R.Owner;
+
+  // Every block of A and B, generated before the step loop by one host
+  // pool job over the whole grid. A and B are partitioned like C, so
+  // each block is its owner's to send. All blocks share one buffer,
+  // allocated here on the calling thread so the pool's workers never
+  // allocate (each thread that does grows its own malloc arena); one
+  // buffer rather than a vector per block also keeps glibc from handing
+  // the blocks' pages back to the kernel after every run. Every slot
+  // starts on a cache line, so the tiles' row loads never straddle two.
+  // A pivot fan-out enqueues one zero-copy view of a slot for every
+  // receiver.
+  const std::size_t LineDoubles = 64 / sizeof(double);
+  const std::size_t Slot = (BB + LineDoubles - 1) / LineDoubles * LineDoubles;
+  std::vector<double> Data(2 * NN * Slot + LineDoubles);
+  const std::size_t First =
+      (64 - reinterpret_cast<std::uintptr_t>(Data.data()) % 64) % 64 /
+      sizeof(double);
+  // Where block I (= BlockAt(Row, Col)) of matrix MatId starts in Data.
+  auto SlotOf = [&](int MatId, std::size_t I) {
+    return First + (static_cast<std::size_t>(MatId) * NN + I) * Slot;
+  };
+  parallelFor(hostPool(), NN, [&](std::size_t I) {
+    int Row = static_cast<int>(I / static_cast<std::size_t>(N));
+    int Col = static_cast<int>(I % static_cast<std::size_t>(N));
+    for (int MatId : {0, 1})
+      fillBlock(MatId, Row, Col,
+                std::span<double>(Data).subspan(SlotOf(MatId, I), BB));
+  });
+  const Payload AllBlocks = Payload::adopt(std::move(Data));
+  std::vector<Payload> ABlocks(NN);
+  std::vector<Payload> BBlocks(NN);
+  for (std::size_t I = 0; I < NN; ++I) {
+    ABlocks[I] = AllBlocks.subview(SlotOf(0, I) * sizeof(double),
+                                   BB * sizeof(double));
+    BBlocks[I] = AllBlocks.subview(SlotOf(1, I) * sizeof(double),
+                                   BB * sizeof(double));
+  }
+
+  // Each rank's record is sized here, so the step loop only appends to
+  // reserved storage.
+  std::vector<RankProduct> Products(static_cast<std::size_t>(P));
+  for (int Rank = 0; Rank < P; ++Rank) {
+    const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
+    RankProduct &Out = Products[static_cast<std::size_t>(Rank)];
+    auto H = static_cast<std::size_t>(R.H);
+    auto W = static_cast<std::size_t>(R.W);
+    Out.AFrags.reserve(static_cast<std::size_t>(N) * H);
+    Out.BFrags.reserve(static_cast<std::size_t>(N) * W);
+    Out.CRect.assign(H * BS * W * BS, 0.0);
+    Out.RowsLeft.store(H);
+  }
 
   std::vector<double> ComputeTimes(static_cast<std::size_t>(P), 0.0);
   std::vector<double> LoopEndTimes(static_cast<std::size_t>(P), 0.0);
   std::vector<double> IdleTimes(static_cast<std::size_t>(P), 0.0);
   std::vector<long long> SendCounts(static_cast<std::size_t>(P), 0);
-  std::vector<std::uint64_t> RankHashes(static_cast<std::size_t>(P), 0);
-  double MaxError = 0.0;
 
   auto Body = [&](Comm &C) {
     int Me = C.rank();
     const GridRect R = Rects[static_cast<std::size_t>(Me)];
+    RankProduct &Out = Products[static_cast<std::size_t>(Me)];
     SimDevice Dev = Platform.makeDevice(Me);
-    std::size_t BB = static_cast<std::size_t>(B) * static_cast<std::size_t>(B);
     auto H = static_cast<std::size_t>(R.H);
     auto W = static_cast<std::size_t>(R.W);
-    std::size_t HB = H * static_cast<std::size_t>(B);
-    std::size_t WB = W * static_cast<std::size_t>(B);
 
     double ThreadSpeedup = gemmThreadSpeedup(std::max(1u, Options.Threads));
-
-    // Owned storage: A and B are partitioned identically to C. Blocks
-    // live in shared payloads so a pivot fan-out can enqueue the same
-    // buffer for every receiver. The host pool fills them column by
-    // column; they are allocated here, on the rank thread, because
-    // allocating on the pool's workers would grow their malloc arenas.
-    auto LocalIndex = [&](int Col, int Row) {
-      return static_cast<std::size_t>(Row - R.Y) * W +
-             static_cast<std::size_t>(Col - R.X);
-    };
-    std::vector<std::vector<double>> AData(H * W, std::vector<double>(BB));
-    std::vector<std::vector<double>> BData(H * W, std::vector<double>(BB));
-    parallelFor(hostPool(), W, [&](std::size_t J) {
-      int Col = R.X + static_cast<int>(J);
-      for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
-        fillBlock(0, Row, Col, AData[LocalIndex(Col, Row)]);
-        fillBlock(1, Row, Col, BData[LocalIndex(Col, Row)]);
-      }
-    });
-    std::vector<Payload> ABlocks(H * W);
-    std::vector<Payload> BBlocks(H * W);
-    for (std::size_t I = 0; I < H * W; ++I) {
-      ABlocks[I] = Payload::adopt(std::move(AData[I]));
-      BBlocks[I] = Payload::adopt(std::move(BData[I]));
-    }
-    // The C rectangle is one contiguous (H*B) x (W*B) row-major matrix,
-    // updated by a single packed GEMM per step.
-    std::vector<double> CRect(HB * WB, 0.0);
-    std::vector<double> APack(HB * static_cast<std::size_t>(B));
-    std::vector<double> BPack(static_cast<std::size_t>(B) * WB);
     long long Sent = 0;
 
     auto SendBlock = [&](int Dst, int Tag, const Payload &Block) {
@@ -145,7 +177,7 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
         if (!R.contains(K, Row))
           continue;
-        const Payload &Block = ABlocks[LocalIndex(K, Row)];
+        const Payload &Block = ABlocks[BlockAt(Row, K)];
         for (const GridRect &Q : Rects) {
           if (Q.Owner == Me || Q.W == 0 || Q.H == 0)
             continue;
@@ -156,7 +188,7 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       for (int Col = R.X; Col < R.X + R.W; ++Col) {
         if (!R.contains(Col, K))
           continue;
-        const Payload &Block = BBlocks[LocalIndex(Col, K)];
+        const Payload &Block = BBlocks[BlockAt(K, Col)];
         for (const GridRect &Q : Rects) {
           if (Q.Owner == Me || Q.W == 0 || Q.H == 0)
             continue;
@@ -164,17 +196,6 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
             SendBlock(Q.Owner, TagB + K * N + Col, Block);
         }
       }
-    };
-
-    auto AOwner = [&](int K, int Row) {
-      return OwnerOf[static_cast<std::size_t>(Row) *
-                         static_cast<std::size_t>(N) +
-                     static_cast<std::size_t>(K)];
-    };
-    auto BOwner = [&](int K, int Col) {
-      return OwnerOf[static_cast<std::size_t>(K) *
-                         static_cast<std::size_t>(N) +
-                     static_cast<std::size_t>(Col)];
     };
 
     auto RecvBlock = [&](int Src, int Tag) {
@@ -189,20 +210,22 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
         auto I = static_cast<std::size_t>(Row - R.Y);
         if (R.contains(K, Row)) {
-          Buf.AFrag[I] = ABlocks[LocalIndex(K, Row)];
+          Buf.AFrag[I] = ABlocks[BlockAt(Row, K)];
         } else {
           double T0 = C.time();
-          Buf.AFrag[I] = RecvBlock(AOwner(K, Row), TagA + K * N + Row);
+          Buf.AFrag[I] = RecvBlock(OwnerOf[BlockAt(Row, K)],
+                                   TagA + K * N + Row);
           IdleTimes[static_cast<std::size_t>(Me)] += C.time() - T0;
         }
       }
       for (int Col = R.X; Col < R.X + R.W; ++Col) {
         auto I = static_cast<std::size_t>(Col - R.X);
         if (R.contains(Col, K)) {
-          Buf.BFrag[I] = BBlocks[LocalIndex(Col, K)];
+          Buf.BFrag[I] = BBlocks[BlockAt(K, Col)];
         } else {
           double T0 = C.time();
-          Buf.BFrag[I] = RecvBlock(BOwner(K, Col), TagB + K * N + Col);
+          Buf.BFrag[I] = RecvBlock(OwnerOf[BlockAt(K, Col)],
+                                   TagB + K * N + Col);
           IdleTimes[static_cast<std::size_t>(Me)] += C.time() - T0;
         }
       }
@@ -214,22 +237,22 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
         auto I = static_cast<std::size_t>(Row - R.Y);
         if (R.contains(K, Row))
-          Buf.AFrag[I] = ABlocks[LocalIndex(K, Row)];
+          Buf.AFrag[I] = ABlocks[BlockAt(Row, K)];
         else
-          Buf.AReq[I] = C.irecv(AOwner(K, Row), TagA + K * N + Row);
+          Buf.AReq[I] = C.irecv(OwnerOf[BlockAt(Row, K)], TagA + K * N + Row);
       }
       for (int Col = R.X; Col < R.X + R.W; ++Col) {
         auto I = static_cast<std::size_t>(Col - R.X);
         if (R.contains(Col, K))
-          Buf.BFrag[I] = BBlocks[LocalIndex(Col, K)];
+          Buf.BFrag[I] = BBlocks[BlockAt(K, Col)];
         else
-          Buf.BReq[I] = C.irecv(BOwner(K, Col), TagB + K * N + Col);
+          Buf.BReq[I] = C.irecv(OwnerOf[BlockAt(K, Col)], TagB + K * N + Col);
       }
     };
 
-    // ... and complete them after the previous step's GEMM, so the
-    // transfers hide behind compute. Clock deltas across the waits are
-    // the true stall time.
+    // ... and complete them after the previous step's compute phase, so
+    // the transfers hide behind compute. Clock deltas across the waits
+    // are the true stall time.
     auto WaitStep = [&](StepBuffers &Buf) {
       for (std::size_t I = 0; I < H; ++I) {
         if (!Buf.AReq[I].pending())
@@ -247,30 +270,17 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       }
     };
 
-    // Compute phase of one step: pack the fragments into contiguous
-    // operands and run one GEMM for the whole rectangle,
-    //   CRect (H*B x W*B) += APack (H*B x B) * BPack (B x W*B).
-    // The GEMM is the register-blocked micro-kernel, row-banded over the
-    // process-wide host pool that every rank shares. Every C element
-    // still accumulates over the same l = 0..B-1 in ascending order, so
-    // the result is bit-identical to per-block updates — and to the
-    // gemmBlocked reference Verify checks against. Virtual cost comes
-    // from the device profile, scaled by the modelled multithreaded-GEMM
-    // speedup.
-    auto ComputeStep = [&](StepBuffers &Buf) {
+    // Compute phase of one step: record the step's fragments for the
+    // arithmetic job that runs after runSpmd, and charge the step's
+    // virtual cost, taken from the device profile and scaled by the
+    // modelled multithreaded-GEMM speedup. No real arithmetic runs on
+    // the rank threads.
+    auto ComputeStep = [&](const StepBuffers &Buf) {
       if (H == 0 || W == 0)
         return;
-      for (std::size_t I = 0; I < H; ++I)
-        std::memcpy(APack.data() + I * BB, Buf.AFrag[I].as<double>().data(),
-                    BB * sizeof(double));
-      for (std::size_t L = 0; L < static_cast<std::size_t>(B); ++L)
-        for (std::size_t J = 0; J < W; ++J)
-          std::memcpy(BPack.data() + L * WB + J * static_cast<std::size_t>(B),
-                      Buf.BFrag[J].as<double>().data() +
-                          L * static_cast<std::size_t>(B),
-                      static_cast<std::size_t>(B) * sizeof(double));
-      gemmParallel(HB, WB, static_cast<std::size_t>(B), APack, BPack, CRect,
-                   hostPool(), /*Tile=*/64, /*UseMicro=*/true);
+      Out.AFrags.insert(Out.AFrags.end(), Buf.AFrag.begin(), Buf.AFrag.end());
+      Out.BFrags.insert(Out.BFrags.end(), Buf.BFrag.begin(), Buf.BFrag.end());
+      ++Out.Steps;
       double T =
           Dev.measureTime(static_cast<double>(R.area())) / ThreadSpeedup;
       C.compute(T);
@@ -294,7 +304,7 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       }
     } else {
       // Double-buffered pipeline: step K+1's pivots are in flight (and
-      // its receives posted) while step K's GEMM runs.
+      // its receives posted) while step K computes.
       SendPivots(0);
       PostStep(0, Bufs[0]);
       WaitStep(Bufs[0]);
@@ -313,73 +323,94 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
 
     LoopEndTimes[static_cast<std::size_t>(Me)] = C.time();
     SendCounts[static_cast<std::size_t>(Me)] = Sent;
-    RankHashes[static_cast<std::size_t>(Me)] =
-        fnv1aStriped(std::as_bytes(std::span<const double>(CRect)));
-
-    if (!Options.Verify)
-      return;
-
-    // Verification: serialise owned C blocks as (col, row, data...) and
-    // gather on rank 0, which checks against a serial product.
-    std::vector<double> Packed;
-    Packed.reserve(static_cast<std::size_t>(R.area()) * (2 + BB));
-    for (int Col = R.X; Col < R.X + R.W; ++Col) {
-      for (int Row = R.Y; Row < R.Y + R.H; ++Row) {
-        Packed.push_back(static_cast<double>(Col));
-        Packed.push_back(static_cast<double>(Row));
-        auto R0 = static_cast<std::size_t>(Row - R.Y) *
-                  static_cast<std::size_t>(B);
-        auto C0 = static_cast<std::size_t>(Col - R.X) *
-                  static_cast<std::size_t>(B);
-        for (std::size_t BR = 0; BR < static_cast<std::size_t>(B); ++BR)
-          Packed.insert(Packed.end(), CRect.begin() + ((R0 + BR) * WB + C0),
-                        CRect.begin() +
-                            ((R0 + BR) * WB + C0 +
-                             static_cast<std::size_t>(B)));
-      }
-    }
-    std::vector<double> All = C.gatherv(std::span<const double>(Packed), 0);
-    if (Me != 0)
-      return;
-
-    std::size_t NB = static_cast<std::size_t>(N) * static_cast<std::size_t>(B);
-    std::vector<double> CFull(NB * NB, 0.0);
-    std::size_t Cursor = 0;
-    while (Cursor < All.size()) {
-      int Col = static_cast<int>(All[Cursor]);
-      int Row = static_cast<int>(All[Cursor + 1]);
-      Cursor += 2;
-      for (int BR = 0; BR < B; ++BR)
-        for (int BC = 0; BC < B; ++BC)
-          CFull[(static_cast<std::size_t>(Row) * B + BR) * NB +
-                static_cast<std::size_t>(Col) * B + BC] =
-              All[Cursor + static_cast<std::size_t>(BR) * B + BC];
-      Cursor += BB;
-    }
-
-    std::vector<double> AFull(NB * NB), BFull(NB * NB),
-        Ref(NB * NB, 0.0);
-    for (int Row = 0; Row < N; ++Row) {
-      for (int Col = 0; Col < N; ++Col) {
-        std::vector<double> BlkA = makeBlock(0, Row, Col, B);
-        std::vector<double> BlkB = makeBlock(1, Row, Col, B);
-        for (int BR = 0; BR < B; ++BR) {
-          for (int BC = 0; BC < B; ++BC) {
-            std::size_t Dst = (static_cast<std::size_t>(Row) * B + BR) * NB +
-                              static_cast<std::size_t>(Col) * B + BC;
-            AFull[Dst] = BlkA[static_cast<std::size_t>(BR) * B + BC];
-            BFull[Dst] = BlkB[static_cast<std::size_t>(BR) * B + BC];
-          }
-        }
-      }
-    }
-    gemmBlocked(NB, NB, NB, AFull, BFull, Ref);
-    MaxError = maxAbsDiff(CFull, Ref);
   };
 
   SpmdResult Run = runSpmd(P, Body, Platform.makeCostModel());
 
+  // The real product, one host pool job after the step loop: one task
+  // per (rank, C block row), the ranks with the largest rectangles
+  // first. A task runs its block row through the rank's recorded steps
+  // in order, reading the fragments in place,
+  //   C(i, j) += A(i, k) * B(k, j)   for each step k, then each column j,
+  // so every C element accumulates over l ascending within a step and
+  // the steps in order: bit-identical to one packed GEMM per step, and
+  // to the gemmBlocked reference Verify checks against. The block row
+  // stays in one core's cache for all the steps.
+  std::vector<std::pair<int, std::size_t>> Tasks;
+  for (int Rank = 0; Rank < P; ++Rank) {
+    const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
+    for (int Row = 0; R.W > 0 && Row < R.H; ++Row)
+      Tasks.emplace_back(Rank, static_cast<std::size_t>(Row));
+  }
+  auto AreaOf = [&](const std::pair<int, std::size_t> &Task) {
+    return Rects[static_cast<std::size_t>(Task.first)].area();
+  };
+  std::stable_sort(Tasks.begin(), Tasks.end(),
+                   [&](const auto &X, const auto &Y) {
+                     return AreaOf(X) > AreaOf(Y);
+                   });
+  // A rank with an empty rectangle has no task; its digest is that of no
+  // bytes.
+  std::vector<std::uint64_t> RankHashes(static_cast<std::size_t>(P),
+                                        fnv1aStriped({}));
+  parallelFor(hostPool(), Tasks.size(), [&](std::size_t T) {
+    auto [Rank, Row] = Tasks[T];
+    RankProduct &Prod = Products[static_cast<std::size_t>(Rank)];
+    const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
+    auto H = static_cast<std::size_t>(R.H);
+    auto W = static_cast<std::size_t>(R.W);
+    std::size_t WB = W * BS;
+    std::span<double> CRow =
+        std::span<double>(Prod.CRect).subspan(Row * BS * WB, BS * WB);
+    for (std::size_t Step = 0; Step < Prod.Steps; ++Step) {
+      std::span<const double> A = Prod.AFrags[Step * H + Row].as<double>();
+      for (std::size_t J = 0; J < W; ++J)
+        gemmMicroUnpacked(BS, BS, BS, A, BS,
+                          Prod.BFrags[Step * W + J].as<double>(), BS,
+                          CRow.subspan(J * BS), WB);
+    }
+    // The lane that finishes the rank's last row sees every other row's
+    // writes through the acquire-release count.
+    if (Prod.RowsLeft.fetch_sub(1, std::memory_order_acq_rel) == 1)
+      RankHashes[static_cast<std::size_t>(Rank)] =
+          fnv1aStriped(std::as_bytes(std::span<const double>(Prod.CRect)));
+  });
+
   MatMulReport Report;
+  if (Options.Verify) {
+    // Verification on the host: the ranks' rectangles assembled into C,
+    // compared with a serial product of the same blocks.
+    std::size_t NB = static_cast<std::size_t>(N) * BS;
+    // Copies a row-major Rows x Cols matrix into Full at (Row0, Col0).
+    auto Place = [NB](std::span<const double> Src, std::size_t Rows,
+                      std::size_t Cols, std::size_t Row0, std::size_t Col0,
+                      std::vector<double> &Full) {
+      for (std::size_t I = 0; I < Rows; ++I)
+        std::copy_n(Src.begin() + static_cast<std::ptrdiff_t>(I * Cols), Cols,
+                    Full.begin() +
+                        static_cast<std::ptrdiff_t>((Row0 + I) * NB + Col0));
+    };
+    std::vector<double> AFull(NB * NB), BFull(NB * NB), CFull(NB * NB),
+        Ref(NB * NB, 0.0);
+    for (int Row = 0; Row < N; ++Row)
+      for (int Col = 0; Col < N; ++Col) {
+        auto R0 = static_cast<std::size_t>(Row) * BS;
+        auto C0 = static_cast<std::size_t>(Col) * BS;
+        Place(ABlocks[BlockAt(Row, Col)].as<double>(), BS, BS, R0, C0, AFull);
+        Place(BBlocks[BlockAt(Row, Col)].as<double>(), BS, BS, R0, C0, BFull);
+      }
+    for (int Rank = 0; Rank < P; ++Rank) {
+      const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
+      Place(Products[static_cast<std::size_t>(Rank)].CRect,
+            static_cast<std::size_t>(R.H) * BS,
+            static_cast<std::size_t>(R.W) * BS,
+            static_cast<std::size_t>(R.Y) * BS,
+            static_cast<std::size_t>(R.X) * BS, CFull);
+    }
+    gemmBlocked(NB, NB, NB, AFull, BFull, Ref);
+    Report.MaxError = maxAbsDiff(CFull, Ref);
+  }
+
   Report.ComputeTimes = ComputeTimes;
   for (double T : LoopEndTimes)
     Report.Makespan = std::max(Report.Makespan, T);
@@ -390,6 +421,5 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
   Report.ResultHash =
       fnv1a(std::as_bytes(std::span<const std::uint64_t>(RankHashes)));
   Report.Comm = Run.Comm;
-  Report.MaxError = MaxError;
   return Report;
 }

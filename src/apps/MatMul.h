@@ -10,24 +10,27 @@
 /// partitioned over processes as 2D rectangles; at iteration k the pivot
 /// block column of A and pivot block row of B are communicated to the
 /// processes whose rectangles intersect them, and every process updates
-/// its C rectangle with one packed GEMM on the register-blocked
-/// micro-kernel, bit-identical to the gemmBlocked reference.
+/// its C rectangle with them.
 ///
 /// The computation is performed for real (block GEMMs on real data, so
 /// the result can be verified against a serial product), while per-rank
 /// computation *cost* is charged to the virtual clock from the simulated
 /// device profiles, and communication is costed by the mpp runtime. The
-/// real work of every rank (its per-step GEMM as gemmParallel row bands,
-/// and the generation of its owned blocks) runs on the process-wide
-/// hostPool(), so the host's cores are shared across the ranks instead of
-/// the rank with the largest rectangle doing its share alone.
+/// two are separate: the SPMD step loop communicates, charges each
+/// step's cost and records the step's pivot fragments, and the real work
+/// runs around it on the process-wide hostPool(), one thread per core.
+/// One job generates every block before the loop; one job after it runs
+/// a task per (rank, C block row) that accumulates the row over the
+/// rank's recorded steps in order, on the register-blocked micro-kernel
+/// reading the fragments in place. The result is bit-identical to the
+/// gemmBlocked reference.
 ///
 /// Three independent options are switchable per run, and all of them
 /// leave the result matrix bit-identical to the serial schedule:
 ///  - ZeroCopy: pivot fan-out enqueues one shared payload per receiver
 ///    instead of deep-copying the block per destination;
 ///  - Overlap: step k+1's pivots are sent and their receives posted
-///    before step k's GEMM, so the transfer hides behind compute
+///    before step k computes, so the transfer hides behind compute
 ///    (double-buffered pipeline on nonblocking receives);
 ///  - Threads: each simulated device is a Threads-core processor, so its
 ///    charged compute time is scaled by the modelled thread speedup. It
@@ -53,11 +56,11 @@ struct MatMulOptions {
   int NBlocks = 8;
   /// Block edge b (a block is b x b doubles).
   int BlockSize = 8;
-  /// Gather the product on rank 0 and compare against a serial GEMM.
+  /// Compare the product with a serial GEMM on the host (no messages).
   bool Verify = true;
   /// Share pivot payloads across receivers instead of copying per send.
   bool ZeroCopy = true;
-  /// Prefetch step k+1's pivots (irecv) while step k's GEMM runs.
+  /// Prefetch step k+1's pivots (irecv) while step k computes.
   bool Overlap = false;
   /// GEMM threads of each simulated device: the charged compute time is
   /// divided by gemmThreadSpeedup(Threads). No rank spawns threads.

@@ -283,6 +283,34 @@ TEST(ParallelMatMul, ZeroCopyEliminatesPhysicalCopies) {
   EXPECT_EQ(Shared.Comm.BytesLogical, Copy.Comm.BytesLogical);
 }
 
+TEST(ParallelMatMul, VerificationIsNotCountedAsTraffic) {
+  // Verify compares the product with a serial GEMM on the host, so it
+  // sends nothing: with it on, the run must report the same messages,
+  // bytes and result as without it, in copy and in zero-copy mode.
+  Cluster Cl = makeHclLikeCluster(true);
+  MatMulOptions O;
+  O.NBlocks = 6;
+  O.BlockSize = 8;
+  std::vector<double> Areas;
+  for (const DeviceProfile &P : Cl.Devices)
+    Areas.push_back(P.speed(100.0));
+  auto Rects = scaleToGrid(partitionColumnBased(Areas), O.NBlocks);
+  for (bool ZeroCopy : {false, true}) {
+    O.ZeroCopy = ZeroCopy;
+    O.Verify = false;
+    MatMulReport Off = runParallelMatMul(Cl, Rects, O);
+    O.Verify = true;
+    MatMulReport On = runParallelMatMul(Cl, Rects, O);
+    EXPECT_EQ(On.MaxError, 0.0) << "zerocopy=" << ZeroCopy;
+    EXPECT_EQ(On.Comm.Messages, Off.Comm.Messages) << "zerocopy=" << ZeroCopy;
+    EXPECT_EQ(On.Comm.BytesLogical, Off.Comm.BytesLogical)
+        << "zerocopy=" << ZeroCopy;
+    EXPECT_EQ(On.Comm.BytesCopied, Off.Comm.BytesCopied)
+        << "zerocopy=" << ZeroCopy;
+    EXPECT_EQ(On.ResultHash, Off.ResultHash) << "zerocopy=" << ZeroCopy;
+  }
+}
+
 TEST(AdaptiveMatMul, MakespanDropsAcrossRounds) {
   Cluster Cl = makeHclLikeCluster(false);
   Cl.NoiseSigma = 0.01;

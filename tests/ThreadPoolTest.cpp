@@ -44,8 +44,9 @@ TEST(ThreadPool, WorkerCountClampedToAtLeastOne) {
 }
 
 TEST(ParallelFor, EveryIndexRunsExactlyOnceUnderConcurrentCallers) {
-  // Three callers share one pool, as the matmul rank threads share the
-  // host pool; every count from empty to many indices per lane.
+  // Three callers share one pool, as threads that each run a campaign or
+  // a matmul share the host pool; every count from empty to many indices
+  // per lane.
   ThreadPool Pool(3);
   const std::size_t Workers = Pool.workerCount();
   std::vector<std::thread> Callers;
