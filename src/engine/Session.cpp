@@ -104,6 +104,16 @@ Result<std::unique_ptr<Session>> Session::create(SessionConfig Config) {
   return std::unique_ptr<Session>(new Session(std::move(Config)));
 }
 
+std::shared_lock<std::shared_mutex> Session::readLock() const {
+  std::lock_guard<std::mutex> Turn(Turnstile);
+  return std::shared_lock<std::shared_mutex>(StateMutex);
+}
+
+Session::WriteLock Session::writeLock() {
+  std::unique_lock<std::mutex> Turn(Turnstile);
+  return {std::move(Turn), std::unique_lock<std::shared_mutex>(StateMutex)};
+}
+
 Status Session::measure(ModelBuildPlan Plan) {
   if (Config.Platform.size() <= 0)
     return Status::failure("measure: the session has no platform devices");
@@ -117,7 +127,7 @@ Status Session::measure(ModelBuildPlan Plan) {
   // The campaign itself runs unlocked (it can take seconds and touches
   // no session state); only installing the results needs exclusivity.
   std::vector<BuiltModel> Built = buildModelsParallel(Config.Platform, Plan);
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   Slots.clear();
   Slots.resize(Built.size());
   for (std::size_t I = 0; I < Built.size(); ++I) {
@@ -139,7 +149,7 @@ Status Session::measureSynchronized(const SyncMeasurePlan &Plan) {
     return S;
   // Exclusive for the whole SPMD run: rank 0's body writes the slots,
   // and runSpmd's join orders those writes before the models are fitted.
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   Slots.clear();
   Slots.resize(static_cast<std::size_t>(Cl.size()));
   runSpmd(
@@ -192,7 +202,7 @@ Status Session::measureNative(const NativeMeasurePlan &Plan) {
   }
   Slot.M = makeModel(Config.ModelKind);
   Slot.M->updateAll(Slot.Raw);
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   Slots.clear();
   Slots.push_back(std::move(Slot));
   ++Epoch;
@@ -235,7 +245,7 @@ Status Session::loadSlot(ModelSlot &Slot, const std::string &Path,
 Status Session::loadModels(std::span<const std::string> Paths) {
   if (Paths.empty())
     return Status::failure("loadModels: no model files given");
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   std::vector<ModelSlot> Loaded(Paths.size());
   for (std::size_t I = 0; I < Paths.size(); ++I) {
     Status S = loadSlot(Loaded[I], Paths[I], Config.AllowDegraded);
@@ -248,7 +258,7 @@ Status Session::loadModels(std::span<const std::string> Paths) {
 }
 
 Result<int> Session::refreshModels() {
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   int Reloaded = 0;
   for (ModelSlot &Slot : Slots) {
     if (Slot.Source.empty())
@@ -292,7 +302,7 @@ Result<int> Session::refreshModels() {
 }
 
 Status Session::saveModel(int Rank, const std::string &Path) const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   if (Rank < 0 || Rank >= static_cast<int>(Slots.size()))
     return Status::failure("saveModel: rank " + std::to_string(Rank) +
                            " out of range");
@@ -308,7 +318,7 @@ Status Session::saveModel(int Rank, const std::string &Path) const {
 Status Session::initModels(int Count) {
   if (Count <= 0)
     return Status::failure("initModels: need at least one model");
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   Slots.clear();
   Slots.resize(static_cast<std::size_t>(Count));
   for (ModelSlot &S : Slots)
@@ -318,7 +328,7 @@ Status Session::initModels(int Count) {
 }
 
 Status Session::feedback(int Rank, const Point &P) {
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   if (Rank < 0 || Rank >= static_cast<int>(Slots.size()))
     return Status::failure("feedback: rank " + std::to_string(Rank) +
                            " out of range");
@@ -398,7 +408,7 @@ Result<Dist> Session::partitionLocked(std::int64_t Total,
 
 Result<Dist> Session::partition(std::int64_t Total,
                                 const std::string &Algorithm) {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   return partitionLocked(Total, algorithmName(Algorithm));
 }
 
@@ -406,7 +416,7 @@ Result<PartitionReply> Session::partitionRendered(
     std::int64_t Total, const std::string &Algorithm) {
   using R = Result<PartitionReply>;
   const std::string &Name = algorithmName(Algorithm);
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   {
     std::lock_guard<std::mutex> MemoLock(MemoMutex);
     auto It = Memo.find({Name, Total});
@@ -502,29 +512,29 @@ void Session::recordCommTraffic(const CommStatsSnapshot &S) {
 }
 
 int Session::rankCount() const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   return static_cast<int>(Slots.size());
 }
 
 std::uint64_t Session::modelEpoch() const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   return Epoch;
 }
 
 const Model *Session::model(int Rank) const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   if (Rank < 0 || Rank >= static_cast<int>(Slots.size()))
     return nullptr;
   return Slots[static_cast<std::size_t>(Rank)].M.get();
 }
 
 const ModelSlot &Session::slot(int Rank) const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   return Slots.at(static_cast<std::size_t>(Rank));
 }
 
 std::vector<const Model *> Session::activeModels() const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   std::vector<const Model *> Out;
   for (const ModelSlot &Slot : Slots)
     if (Slot.Exclusion.empty() && Slot.M && Slot.M->fitted())
@@ -533,17 +543,17 @@ std::vector<const Model *> Session::activeModels() const {
 }
 
 std::vector<std::string> Session::warnings() const {
-  std::shared_lock<std::shared_mutex> Lock(StateMutex);
+  auto Lock = readLock();
   return Warnings;
 }
 
 void Session::clearWarnings() {
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   Warnings.clear();
 }
 
 std::vector<std::string> Session::takeWarnings() {
-  std::unique_lock<std::shared_mutex> Lock(StateMutex);
+  WriteLock Lock = writeLock();
   std::vector<std::string> Out;
   Out.swap(Warnings);
   return Out;

@@ -30,7 +30,8 @@
 /// restart.
 ///
 /// Sessions are thread-safe: model state is guarded by a shared mutex
-/// (many concurrent partition() readers, exclusive mutators) and stamped
+/// (many concurrent partition() readers, exclusive mutators that new
+/// readers queue behind, so a reload is never starved) and stamped
 /// with a monotonically increasing *model epoch* that every mutation
 /// bumps. A refreshModels() hot reload is therefore atomic with respect
 /// to in-flight partition() calls — a solve sees either the old fit or
@@ -321,12 +322,31 @@ private:
     return Algorithm.empty() ? Config.Algorithm : Algorithm;
   }
 
+  /// StateMutex shared, taken behind the turnstile (see Turnstile).
+  std::shared_lock<std::shared_mutex> readLock() const;
+  /// Both locks a mutation holds; the state lock is released first.
+  struct WriteLock {
+    std::unique_lock<std::mutex> Turn;
+    std::unique_lock<std::shared_mutex> State;
+  };
+  WriteLock writeLock();
+
   SessionConfig Config;
 
   /// Guards Slots, Warnings and Epoch: shared for partition()/readers,
   /// exclusive for every mutation — which makes a hot reload atomic with
-  /// respect to in-flight partition calls.
+  /// respect to in-flight partition calls. Taken only through readLock()
+  /// and writeLock().
   mutable std::shared_mutex StateMutex;
+  /// The turnstile in front of StateMutex. glibc's rwlock lets new
+  /// readers in while a writer waits, so a steady stream of partition()
+  /// calls would hold a reload back for as long as it lasts. A writer
+  /// holds the turnstile while it waits for and holds the exclusive lock,
+  /// and every reader passes through it first, so readers that arrive
+  /// after a waiting writer queue behind it. Hence no path may take
+  /// StateMutex while it already holds it: the inner shared lock would
+  /// wait behind a writer that waits for the outer one.
+  mutable std::mutex Turnstile;
   std::vector<ModelSlot> Slots;
   std::vector<std::string> Warnings;
   std::uint64_t Epoch = 0;

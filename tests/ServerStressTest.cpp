@@ -256,8 +256,8 @@ TEST(ServerStress, MemoWritersRaceReloadsAndStayExact) {
   // The session under test loaded the first speed and the file holds the
   // second now, so every refresh of the churn thread reloads. The callers
   // make at least MinCalls calls each and run until the churn is done,
-  // pausing after each call: the state lock prefers readers, so callers
-  // that never pause starve the reload.
+  // without pausing: readers queue behind a waiting reload, so callers
+  // that never pause cannot starve it.
   constexpr int Flips = 4;
   std::atomic<bool> ChurnDone{false};
   int Reloads = 0;
@@ -295,7 +295,6 @@ TEST(ServerStress, MemoWritersRaceReloadsAndStayExact) {
         }
         if (!Exact)
           Bad.fetch_add(1, std::memory_order_relaxed);
-        std::this_thread::sleep_for(std::chrono::microseconds(10));
       }
     });
   Churn.join();
