@@ -8,9 +8,10 @@
 #include "support/ThreadPool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
 #include <cstdint>
+#include <memory>
+#include <mutex>
 
 using namespace fupermod;
 
@@ -59,11 +60,17 @@ struct RankProduct {
   std::vector<Payload> BFrags;
   std::size_t Steps = 0;
   /// The rank's C rectangle, one contiguous (H*B) x (W*B) row-major
-  /// matrix.
-  std::vector<double> CRect;
-  /// Block rows of CRect still to accumulate; the lane that takes it to
-  /// zero digests the rectangle.
-  std::atomic<std::size_t> RowsLeft{0};
+  /// matrix, allocated uninitialised: each block row's task zeroes its
+  /// row before accumulating it.
+  std::unique_ptr<double[]> CRect;
+  /// The in-order digest of CRect's block rows: which rows are finished,
+  /// and Next, the first row not yet digested, both guarded by Mutex.
+  /// Only the lane that finished row Next feeds Digest, and it keeps that
+  /// role until it releases the lock with row Next unfinished.
+  std::mutex Mutex;
+  std::vector<bool> Finished;
+  std::size_t Next = 0;
+  Fnv1aStriped Digest;
 };
 
 } // namespace
@@ -103,13 +110,16 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
   // buffer rather than a vector per block also keeps glibc from handing
   // the blocks' pages back to the kernel after every run. Every slot
   // starts on a cache line, so the tiles' row loads never straddle two.
-  // A pivot fan-out enqueues one zero-copy view of a slot for every
-  // receiver.
+  // The buffer is left uninitialised, since the job writes every slot and
+  // nothing reads the padding around them. A pivot fan-out enqueues one
+  // zero-copy view of a slot for every receiver.
   const std::size_t LineDoubles = 64 / sizeof(double);
   const std::size_t Slot = (BB + LineDoubles - 1) / LineDoubles * LineDoubles;
-  std::vector<double> Data(2 * NN * Slot + LineDoubles);
+  const std::size_t DataSize = 2 * NN * Slot + LineDoubles;
+  std::unique_ptr<double[]> Data =
+      std::make_unique_for_overwrite<double[]>(DataSize);
   const std::size_t First =
-      (64 - reinterpret_cast<std::uintptr_t>(Data.data()) % 64) % 64 /
+      (64 - reinterpret_cast<std::uintptr_t>(Data.get()) % 64) % 64 /
       sizeof(double);
   // Where block I (= BlockAt(Row, Col)) of matrix MatId starts in Data.
   auto SlotOf = [&](int MatId, std::size_t I) {
@@ -120,9 +130,9 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     int Col = static_cast<int>(I % static_cast<std::size_t>(N));
     for (int MatId : {0, 1})
       fillBlock(MatId, Row, Col,
-                std::span<double>(Data).subspan(SlotOf(MatId, I), BB));
+                std::span<double>(Data.get() + SlotOf(MatId, I), BB));
   });
-  const Payload AllBlocks = Payload::adopt(std::move(Data));
+  const Payload AllBlocks = Payload::adopt(std::move(Data), DataSize);
   std::vector<Payload> ABlocks(NN);
   std::vector<Payload> BBlocks(NN);
   for (std::size_t I = 0; I < NN; ++I) {
@@ -142,8 +152,8 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
     auto W = static_cast<std::size_t>(R.W);
     Out.AFrags.reserve(static_cast<std::size_t>(N) * H);
     Out.BFrags.reserve(static_cast<std::size_t>(N) * W);
-    Out.CRect.assign(H * BS * W * BS, 0.0);
-    Out.RowsLeft.store(H);
+    Out.CRect = std::make_unique_for_overwrite<double[]>(H * BS * W * BS);
+    Out.Finished.assign(H, false);
   }
 
   std::vector<double> ComputeTimes(static_cast<std::size_t>(P), 0.0);
@@ -328,53 +338,73 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
   SpmdResult Run = runSpmd(P, Body, Platform.makeCostModel());
 
   // The real product, one host pool job after the step loop: one task
-  // per (rank, C block row), the ranks with the largest rectangles
-  // first. A task runs its block row through the rank's recorded steps
-  // in order, reading the fragments in place,
+  // per (rank, C block row), the widest rectangles' rows first, since a
+  // row's cost is its W block products per step. A task zeroes its block
+  // row, then runs it through the rank's recorded steps in order, reading
+  // the fragments in place,
   //   C(i, j) += A(i, k) * B(k, j)   for each step k, then each column j,
   // so every C element accumulates over l ascending within a step and
   // the steps in order: bit-identical to one packed GEMM per step, and
   // to the gemmBlocked reference Verify checks against. The block row
-  // stays in one core's cache for all the steps.
+  // stays in one core's cache for all the steps. The zero stays explicit:
+  // storing the first step's product instead could turn a -0.0 element
+  // into +0.0 or back, which changes the digested bytes.
   std::vector<std::pair<int, std::size_t>> Tasks;
   for (int Rank = 0; Rank < P; ++Rank) {
     const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
     for (int Row = 0; R.W > 0 && Row < R.H; ++Row)
       Tasks.emplace_back(Rank, static_cast<std::size_t>(Row));
   }
-  auto AreaOf = [&](const std::pair<int, std::size_t> &Task) {
-    return Rects[static_cast<std::size_t>(Task.first)].area();
+  auto WidthOf = [&](const std::pair<int, std::size_t> &Task) {
+    return Rects[static_cast<std::size_t>(Task.first)].W;
   };
   std::stable_sort(Tasks.begin(), Tasks.end(),
                    [&](const auto &X, const auto &Y) {
-                     return AreaOf(X) > AreaOf(Y);
+                     return WidthOf(X) > WidthOf(Y);
                    });
-  // A rank with an empty rectangle has no task; its digest is that of no
-  // bytes.
-  std::vector<std::uint64_t> RankHashes(static_cast<std::size_t>(P),
-                                        fnv1aStriped({}));
   parallelFor(hostPool(), Tasks.size(), [&](std::size_t T) {
     auto [Rank, Row] = Tasks[T];
     RankProduct &Prod = Products[static_cast<std::size_t>(Rank)];
     const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
     auto H = static_cast<std::size_t>(R.H);
     auto W = static_cast<std::size_t>(R.W);
-    std::size_t WB = W * BS;
-    std::span<double> CRow =
-        std::span<double>(Prod.CRect).subspan(Row * BS * WB, BS * WB);
+    const std::size_t RowDoubles = BS * W * BS;
+    std::span<double> CRow(Prod.CRect.get() + Row * RowDoubles, RowDoubles);
+    std::fill(CRow.begin(), CRow.end(), 0.0);
     for (std::size_t Step = 0; Step < Prod.Steps; ++Step) {
       std::span<const double> A = Prod.AFrags[Step * H + Row].as<double>();
       for (std::size_t J = 0; J < W; ++J)
         gemmMicroUnpacked(BS, BS, BS, A, BS,
                           Prod.BFrags[Step * W + J].as<double>(), BS,
-                          CRow.subspan(J * BS), WB);
+                          CRow.subspan(J * BS), W * BS);
     }
-    // The lane that finishes the rank's last row sees every other row's
-    // writes through the acquire-release count.
-    if (Prod.RowsLeft.fetch_sub(1, std::memory_order_acq_rel) == 1)
-      RankHashes[static_cast<std::size_t>(Rank)] =
-          fnv1aStriped(std::as_bytes(std::span<const double>(Prod.CRect)));
+    // The rank's rows are digested in order. The lane that finishes the
+    // first undigested row digests it and every finished row after it,
+    // outside the lock; a row finished meanwhile is not Next, so its lane
+    // leaves it to this one, which sees it when it takes the lock back.
+    // The mutex carries every row's writes to the lane that digests it.
+    std::unique_lock Lock(Prod.Mutex);
+    Prod.Finished[Row] = true;
+    if (Row != Prod.Next)
+      return;
+    for (std::size_t From = Row;;) {
+      std::size_t To = From;
+      while (To < H && Prod.Finished[To])
+        ++To;
+      Lock.unlock();
+      Prod.Digest.update(std::as_bytes(std::span<const double>(
+          Prod.CRect.get() + From * RowDoubles, (To - From) * RowDoubles)));
+      Lock.lock();
+      Prod.Next = From = To;
+      if (To == H || !Prod.Finished[To])
+        return;
+    }
   });
+  // A rank with an empty rectangle has no task; its digest is that of no
+  // bytes.
+  std::vector<std::uint64_t> RankHashes;
+  for (const RankProduct &Prod : Products)
+    RankHashes.push_back(Prod.Digest.digest());
 
   MatMulReport Report;
   if (Options.Verify) {
@@ -401,10 +431,10 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
       }
     for (int Rank = 0; Rank < P; ++Rank) {
       const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
-      Place(Products[static_cast<std::size_t>(Rank)].CRect,
-            static_cast<std::size_t>(R.H) * BS,
-            static_cast<std::size_t>(R.W) * BS,
-            static_cast<std::size_t>(R.Y) * BS,
+      const std::size_t Rows = static_cast<std::size_t>(R.H) * BS;
+      const std::size_t Cols = static_cast<std::size_t>(R.W) * BS;
+      Place({Products[static_cast<std::size_t>(Rank)].CRect.get(), Rows * Cols},
+            Rows, Cols, static_cast<std::size_t>(R.Y) * BS,
             static_cast<std::size_t>(R.X) * BS, CFull);
     }
     gemmBlocked(NB, NB, NB, AFull, BFull, Ref);

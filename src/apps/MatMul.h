@@ -20,10 +20,13 @@
 /// step's cost and records the step's pivot fragments, and the real work
 /// runs around it on the process-wide hostPool(), one thread per core.
 /// One job generates every block before the loop; one job after it runs
-/// a task per (rank, C block row) that accumulates the row over the
-/// rank's recorded steps in order, on the register-blocked micro-kernel
-/// reading the fragments in place. The result is bit-identical to the
-/// gemmBlocked reference.
+/// a task per (rank, C block row) that zeroes the row and accumulates it
+/// over the rank's recorded steps in order, on the register-blocked
+/// micro-kernel reading the fragments in place. The result is
+/// bit-identical to the gemmBlocked reference. Blocks and C rectangles
+/// are allocated uninitialised on the calling thread, which initialises
+/// nothing, and each rank's rows are digested in order as they finish,
+/// by the lane that finishes the first undigested one.
 ///
 /// Three independent options are switchable per run, and all of them
 /// leave the result matrix bit-identical to the serial schedule:

@@ -14,8 +14,9 @@
 ///  - A Payload is immutable after construction; every holder sees the
 ///    same bytes forever. Mutating the buffer a Payload was adopted from
 ///    (after adoption) is undefined behaviour.
-///  - adopt()/adoptBytes() take ownership of an existing vector with no
-///    copy; copyOf() pays the one deep copy a zero-copy fan-out needs.
+///  - adopt()/adoptBytes() take ownership of an existing vector or array
+///    with no copy; copyOf() pays the one deep copy a zero-copy fan-out
+///    needs.
 ///  - subview() shares the owner and narrows the window: forwarding a
 ///    slice of a received buffer (binomial scatter) costs no copy.
 ///
@@ -53,6 +54,18 @@ public:
     Payload P;
     P.Bytes = std::as_bytes(std::span<const T>(*Owner));
     P.Owner = std::move(Owner);
+    return P;
+  }
+
+  /// Takes ownership of the \p Count elements of \p Data without copying,
+  /// so storage from std::make_unique_for_overwrite is never initialised
+  /// twice: the caller writes it once, then adopts it.
+  template <typename T>
+  static Payload adopt(std::unique_ptr<T[]> Data, std::size_t Count) {
+    static_assert(std::is_trivially_copyable_v<T>);
+    Payload P;
+    P.Bytes = std::as_bytes(std::span<const T>(Data.get(), Count));
+    P.Owner = std::shared_ptr<const T[]>(std::move(Data));
     return P;
   }
 

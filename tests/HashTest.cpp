@@ -3,7 +3,10 @@
 // fnv1a() is pinned to the published FNV-1a 64 test vectors, and
 // fnv1aStriped() to its definition: a reference built from eight byte
 // streams and fnv1a() alone, compared bit for bit at every length that
-// exercises the tail and on a large buffer. The sensitivity cases are
+// exercises the tail and on a large buffer. The streaming Fnv1aStriped
+// must give the same digest wherever its input is cut into pieces, so it
+// is fed every two- and three-way split of short buffers and a large
+// buffer cut at pseudo-random offsets. The sensitivity cases are
 // the changes a result digest must see: any single bit, the signs of two
 // doubles (which cancel in a word-wise FNV, where a flip in bit 63 never
 // leaves bit 63), and two values trading places.
@@ -13,9 +16,11 @@
 #include "support/Hash.h"
 
 #include "blas/Gemm.h"
+#include "support/Random.h"
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <array>
 #include <cstddef>
 #include <cstdint>
@@ -57,6 +62,20 @@ std::vector<std::byte> deterministicBytes(std::size_t Count,
   return std::vector<std::byte>(All.begin(), All.begin() + Count);
 }
 
+/// Fnv1aStriped's digest of \p Data fed in pieces that end at the
+/// ascending offsets \p Cuts, the last piece running to the end.
+std::uint64_t streamed(std::span<const std::byte> Data,
+                       const std::vector<std::size_t> &Cuts) {
+  Fnv1aStriped State;
+  std::size_t From = 0;
+  for (std::size_t Cut : Cuts) {
+    State.update(Data.subspan(From, Cut - From));
+    From = Cut;
+  }
+  State.update(Data.subspan(From));
+  return State.digest();
+}
+
 /// The sensitivity buffer: 4 KiB of doubles.
 std::vector<double> sensitivityBuffer() {
   std::vector<double> Values(4096 / sizeof(double));
@@ -94,6 +113,44 @@ TEST(Fnv1aStriped, MatchesDefinitionAtEveryTailLength) {
 TEST(Fnv1aStriped, MatchesDefinitionOnALargeOddBuffer) {
   std::vector<std::byte> Data = deterministicBytes((1u << 20) + 5, 7);
   EXPECT_EQ(fnv1aStriped(Data), stripedReference(Data));
+}
+
+TEST(Fnv1aStriped, StreamMatchesEveryTwoWaySplit) {
+  std::vector<std::byte> Data = deterministicBytes(67, 9);
+  for (std::size_t N = 0; N <= Data.size(); ++N) {
+    std::span<const std::byte> Prefix(Data.data(), N);
+    const std::uint64_t Whole = fnv1aStriped(Prefix);
+    ASSERT_EQ(Whole, stripedReference(Prefix)) << "length " << N;
+    for (std::size_t Cut = 0; Cut <= N; ++Cut)
+      EXPECT_EQ(streamed(Prefix, {Cut}), Whole)
+          << "length " << N << ", cut at " << Cut;
+  }
+}
+
+TEST(Fnv1aStriped, StreamMatchesEveryThreeWaySplit) {
+  // Every pair of cuts, so pieces are empty at the start, in the middle
+  // and at the end, and most lengths are not a multiple of 8 bytes.
+  std::vector<std::byte> Data = deterministicBytes(67, 11);
+  const std::uint64_t Whole = stripedReference(Data);
+  ASSERT_EQ(fnv1aStriped(Data), Whole);
+  for (std::size_t First = 0; First <= Data.size(); ++First)
+    for (std::size_t Second = First; Second <= Data.size(); ++Second)
+      EXPECT_EQ(streamed(Data, {First, Second}), Whole)
+          << "cuts at " << First << " and " << Second;
+}
+
+TEST(Fnv1aStriped, StreamMatchesALargeBufferCutAtRandomOffsets) {
+  std::vector<std::byte> Data = deterministicBytes(1u << 20, 13);
+  const std::uint64_t Whole = fnv1aStriped(Data);
+  ASSERT_EQ(Whole, stripedReference(Data));
+  SplitMix64 Rng(17);
+  for (int Trial = 0; Trial < 8; ++Trial) {
+    std::vector<std::size_t> Cuts;
+    for (int I = 0; I < 1 + 8 * Trial; ++I)
+      Cuts.push_back(static_cast<std::size_t>(Rng.next() % (Data.size() + 1)));
+    std::sort(Cuts.begin(), Cuts.end());
+    EXPECT_EQ(streamed(Data, Cuts), Whole) << "trial " << Trial;
+  }
 }
 
 TEST(Fnv1aStriped, EverySingleBitFlipChangesTheDigest) {

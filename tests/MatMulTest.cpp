@@ -119,6 +119,36 @@ TEST(ParallelMatMul, GeneratedMatricesPinnedAtEveryOptimisationLevel) {
   }
 }
 
+TEST(ParallelMatMul, PerfbenchLayoutPinned) {
+  // perfbench's matmul-static layout at seed 7: 8, 4 and 12 block rows of
+  // widths 5, 5 and 7. Ranks with more block rows than host lanes, and
+  // rows of unequal cost, are where the arithmetic job finishes a rank's
+  // rows out of order; every run must still digest each rectangle's rows
+  // once each, in order.
+  Cluster Cl = makeUniformCluster(3, 100.0);
+  Cl.NoiseSigma = 0.0;
+  MatMulOptions O;
+  O.NBlocks = 12;
+  O.BlockSize = 8;
+  O.Verify = true;
+  std::vector<GridRect> Rects = {
+      {7, 0, 5, 8, 0}, {7, 8, 5, 4, 1}, {0, 0, 7, 12, 2}};
+  for (int Run = 0; Run < 4; ++Run) {
+    MatMulReport R = runParallelMatMul(Cl, Rects, O);
+    EXPECT_EQ(R.MaxError, 0.0) << "run " << Run;
+    EXPECT_EQ(R.ResultHash, 6379097238111544081ull) << "run " << Run;
+  }
+  // perfbench's own block size: the hash its seed-7 solves reproduce.
+  // Rows this long finish out of order in most runs, so one lane often
+  // digests several rows other lanes finished.
+  O.BlockSize = 48;
+  O.Verify = false;
+  for (int Run = 0; Run < 4; ++Run)
+    EXPECT_EQ(runParallelMatMul(Cl, Rects, O).ResultHash,
+              6371063590800408731ull)
+        << "run " << Run;
+}
+
 TEST(ParallelMatMul, FourRankGridCorrect) {
   Cluster Cl = makeUniformCluster(4, 100.0);
   Cl.NoiseSigma = 0.0;

@@ -5,6 +5,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <memory>
 #include <numeric>
 #include <stdexcept>
 #include <vector>
@@ -533,4 +535,32 @@ TEST(Bcast, BcastValueOnEmptyRootPayloadThrows) {
     C.barrier();
   });
   EXPECT_TRUE(R.allOk());
+}
+
+TEST(Payload, SubviewOfAnAdoptedArrayOutlivesThePayload) {
+  // Storage allocated uninitialised, written once and adopted without a
+  // copy; a view of part of it keeps the storage alive on its own.
+  const std::size_t Count = 64;
+  std::unique_ptr<double[]> Data =
+      std::make_unique_for_overwrite<double[]>(Count);
+  for (std::size_t I = 0; I < Count; ++I)
+    Data[I] = 0.5 * static_cast<double>(I) - 3.0;
+  const auto *Storage = reinterpret_cast<const std::byte *>(Data.get());
+  Payload View;
+  {
+    Payload All = Payload::adopt(std::move(Data), Count);
+    EXPECT_EQ(All.bytes().data(), Storage);
+    EXPECT_EQ(All.size(), Count * sizeof(double));
+    View = All.subview(8 * sizeof(double), 16 * sizeof(double));
+    EXPECT_TRUE(All.sharedBuffer());
+  }
+  EXPECT_FALSE(View.sharedBuffer());
+  EXPECT_EQ(View.bytes().data(), Storage + 8 * sizeof(double));
+  EXPECT_EQ(reinterpret_cast<std::uintptr_t>(View.bytes().data()) %
+                alignof(double),
+            0u);
+  std::span<const double> Values = View.as<double>();
+  ASSERT_EQ(Values.size(), 16u);
+  for (std::size_t I = 0; I < Values.size(); ++I)
+    EXPECT_EQ(Values[I], 0.5 * static_cast<double>(I + 8) - 3.0) << I;
 }
