@@ -180,7 +180,8 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
 
       if (Error <= Options.Tolerance) {
         ++It;
-        Converged = true;
+        if (Me == 0)
+          Converged = true;
         break;
       }
     }

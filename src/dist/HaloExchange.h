@@ -13,7 +13,7 @@
 /// several owners — the plan is built generically from interval overlaps,
 /// one message per (peer, side) with a non-empty overlap.
 ///
-/// Receives are future-backed (Comm::irecv), posted before the sends, so
+/// Receives are nonblocking (Comm::irecv), posted before the sends, so
 /// the transfer overlaps whatever the caller computes between
 /// startHaloExchange() and HaloExchange::wait() — typically the interior
 /// kernel loop, which needs no halo data. Sends stage the boundary units

@@ -13,8 +13,8 @@
 /// movements every model-driven workload needs:
 ///
 ///  - exchangeHalos(width): each rank obtains the `width` units adjacent
-///    to its segment, future-backed so the transfer can overlap the
-///    interior kernel loop (startHaloExchange / wait);
+///    to its segment, through receives posted up front so the transfer
+///    can overlap the interior kernel loop (startHaloExchange / wait);
 ///  - redistribute(newDist): the interval-overlap transfer plan — every
 ///    rank keeps its old∩new range in place and ships only the deltas,
 ///    provably the fewest bytes any redistribution between two

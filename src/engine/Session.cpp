@@ -167,7 +167,7 @@ Status Session::measureSynchronized(const SyncMeasurePlan &Plan) {
                   All[static_cast<std::size_t>(Q)]);
         }
       },
-      Cl.makeCostModel(), Config.Spmd);
+      Cl.makeCostModel());
   for (ModelSlot &S : Slots) {
     S.M = makeModel(Config.ModelKind);
     S.M->updateAll(S.Raw);
@@ -473,7 +473,7 @@ Result<SpmdResult> Session::execute(int Ranks,
     return R::failure("execute: the session has no platform devices");
   if (!Body)
     return R::failure("execute: no SPMD body");
-  R Res = runSpmd(Ranks, Body, Config.Platform.makeCostModel(), Config.Spmd);
+  R Res = runSpmd(Ranks, Body, Config.Platform.makeCostModel());
   if (Res)
     recordCommTraffic(Res.value().Comm);
   return Res;

@@ -94,13 +94,6 @@ struct SessionConfig {
   /// with a warning (excluding their rank from partitioning) instead of
   /// failing the load.
   bool AllowDegraded = false;
-  /// SPMD runtime knobs for every run the session launches (rank stack
-  /// sizes, the two-level collective threshold). The platform's node
-  /// placement reaches the runtime through makeCostModel(), so
-  /// multi-node sessions at scale get hierarchical collectives — and
-  /// BalancedLoop's per-round allgather rides them — without further
-  /// configuration.
-  SpmdOptions Spmd;
   /// Equalization policy for the session's balanced loops. When left
   /// empty and the platform spec carries an `equalize` line, create()
   /// adopts the spec's configuration; with neither, makeEqualizer()

@@ -4,23 +4,20 @@
 
 #include <algorithm>
 #include <cassert>
-#include <chrono>
-#include <future>
 #include <numeric>
 
 using namespace fupermod;
 
 bool RecvRequest::ready() {
-  assert(Active && "request not pending");
-  return Future.wait_for(std::chrono::seconds(0)) ==
-         std::future_status::ready;
+  assert(Slot && "request not pending");
+  return Box->filled(*Slot) || G->poison().poisoned();
 }
 
 Payload RecvRequest::wait() {
-  assert(Active && "request not pending");
-  Message Msg = Mailbox::awaitMessage(Future);
+  assert(Slot && "request not pending");
+  Message Msg = Box->await(*Slot, G->poison(), WorldRank);
+  Slot.reset();
   Clock->advanceTo(Msg.ArrivalTime);
-  Active = false;
   return std::move(Msg.Data);
 }
 
@@ -64,7 +61,8 @@ void Comm::sendPayload(int Dst, int Tag, Payload Data, TrafficClass Class) {
   // The sender is busy for the injection overhead only; the full transfer
   // time is charged to the message arrival (receiver side).
   Clock->advance(Cost.Latency);
-  G->mailbox(Rank, Dst).push(std::move(Msg));
+  if (G->mailbox(Rank, Dst).push(std::move(Msg)))
+    G->poison().wake(G->globalRankOf(Dst));
 }
 
 void Comm::sendBytes(int Dst, int Tag, std::span<const std::byte> Data) {
@@ -72,12 +70,7 @@ void Comm::sendBytes(int Dst, int Tag, std::span<const std::byte> Data) {
   sendPayload(Dst, Tag, Payload::copyOf(Data));
 }
 
-Payload Comm::recvPayload(int Src, int Tag) {
-  assert(Src >= 0 && Src < size() && "source out of range");
-  Message Msg = G->mailbox(Src, Rank).popMatching(Tag, G->poison());
-  Clock->advanceTo(Msg.ArrivalTime);
-  return std::move(Msg.Data);
-}
+Payload Comm::recvPayload(int Src, int Tag) { return irecv(Src, Tag).wait(); }
 
 std::vector<std::byte> Comm::recvBytes(int Src, int Tag) {
   Payload P = recvPayload(Src, Tag);
@@ -89,9 +82,10 @@ RecvRequest Comm::irecv(int Src, int Tag) {
   assert(Src >= 0 && Src < size() && "source out of range");
   RecvRequest Req;
   Req.G = G;
-  Req.Future = G->mailbox(Src, Rank).asyncPop(Tag, G->poison());
+  Req.Box = &G->mailbox(Src, Rank);
+  Req.Slot = Req.Box->post(Tag);
+  Req.WorldRank = globalRank();
   Req.Clock = Clock;
-  Req.Active = true;
   return Req;
 }
 
@@ -108,23 +102,55 @@ void Comm::barrier() {
 
 bool Comm::usesTwoLevelCollectives() const { return G->twoLevelEligible(); }
 
-void Comm::bcastPayloadOverList(std::span<const int> Ranks, int MyIdx,
-                                int RootIdx, Payload &Data, int Tag) {
-  int N = static_cast<int>(Ranks.size());
+namespace {
+
+/// Where the two stages of a two-level collective rooted at group rank
+/// Root run. Each node is served by its *node root*: the group root on
+/// its own node, the node leader (lowest rank) elsewhere. The inter-node
+/// tree runs over the node roots, the root's node first and then the
+/// other nodes in dense order.
+struct TwoLevelPlan {
+  const Group::NodeLayout &L;
+  int Root;
+  int RootNode = L.NodeOfRank[static_cast<std::size_t>(Root)];
+
+  int nodeRoot(int Node) const {
+    return Node == RootNode ? Root : L.leaderOf(Node);
+  }
+  /// Node at index K of the inter-node tree, and its inverse.
+  int interNode(int K) const {
+    return K == 0 ? RootNode : (K <= RootNode ? K - 1 : K);
+  }
+  int interIndex(int Node) const {
+    return Node == RootNode ? 0 : (Node < RootNode ? Node + 1 : Node);
+  }
+  /// Index of group rank \p Rank among the members of its node \p Node.
+  int memberIndex(int Node, int Rank) const {
+    const std::vector<int> &M = L.Members[static_cast<std::size_t>(Node)];
+    return static_cast<int>(std::lower_bound(M.begin(), M.end(), Rank) -
+                            M.begin());
+  }
+};
+
+} // namespace
+
+template <typename RankOfFn>
+void Comm::bcastTree(int N, RankOfFn RankOf, int MyIdx, int RootIdx,
+                     Payload &Data, int Tag) {
   if (N <= 1)
     return;
   assert(MyIdx >= 0 && MyIdx < N && RootIdx >= 0 && RootIdx < N &&
-         Ranks[static_cast<std::size_t>(MyIdx)] == Rank &&
-         "caller must be in the list");
+         RankOf(MyIdx) == Rank && "caller must be a member");
   int Rel = (MyIdx - RootIdx + N) % N;
 
-  // The flat binomial tree, in list-index space: receive from the
-  // parent, then forward the *same* payload to the children.
+  // Receive from the parent, then forward the *same* payload to the
+  // children — every member ends up sharing the root's buffer, so the
+  // whole fan-out copies nothing.
   unsigned Mask = 1;
   while (static_cast<int>(Mask) < N) {
     if (Rel & static_cast<int>(Mask)) {
-      int Parent = (Rel - static_cast<int>(Mask) + RootIdx) % N;
-      Data = recvPayload(Ranks[static_cast<std::size_t>(Parent)], Tag);
+      Data = recvPayload(RankOf((Rel - static_cast<int>(Mask) + RootIdx) % N),
+                         Tag);
       break;
     }
     Mask <<= 1;
@@ -133,81 +159,40 @@ void Comm::bcastPayloadOverList(std::span<const int> Ranks, int MyIdx,
   while (Mask > 0) {
     int Child = Rel + static_cast<int>(Mask);
     if (Child < N)
-      sendPayload(Ranks[static_cast<std::size_t>((Child + RootIdx) % N)],
-                  Tag, Data);
+      sendPayload(RankOf((Child + RootIdx) % N), Tag, Data);
     Mask >>= 1;
   }
 }
 
 void Comm::bcastPayloadTwoLevel(Payload &Data, int Root) {
-  const Group::NodeLayout &L = *G->layout();
-  int MyNode = L.NodeOfRank[static_cast<std::size_t>(Rank)];
-  int RootNode = L.NodeOfRank[static_cast<std::size_t>(Root)];
-  // Each node is drained from its *node root*: the group root on its own
-  // node, the node leader (lowest rank) elsewhere.
-  auto NodeRoot = [&](int Node) {
-    return Node == RootNode ? Root : L.leaderOf(Node);
-  };
+  TwoLevelPlan T{*G->layout(), Root};
+  int MyNode = T.L.NodeOfRank[static_cast<std::size_t>(Rank)];
 
   // Stage 1 — inter-node: binomial tree over the node roots, rooted at
-  // the group root (listed first, then the other nodes in dense order).
-  if (Rank == NodeRoot(MyNode)) {
-    std::vector<int> Inter;
-    Inter.reserve(static_cast<std::size_t>(L.numNodes()));
-    Inter.push_back(Root);
-    for (int Nd = 0; Nd < L.numNodes(); ++Nd)
-      if (Nd != RootNode)
-        Inter.push_back(L.leaderOf(Nd));
-    int MyIdx = MyNode == RootNode
-                    ? 0
-                    : (MyNode < RootNode ? MyNode + 1 : MyNode);
-    bcastPayloadOverList(Inter, MyIdx, /*RootIdx=*/0, Data, TagBcastInter);
-  }
+  // the group root.
+  if (Rank == T.nodeRoot(MyNode))
+    bcastTree(
+        T.L.numNodes(), [&](int K) { return T.nodeRoot(T.interNode(K)); },
+        T.interIndex(MyNode), /*RootIdx=*/0, Data, TagBcastInter);
 
   // Stage 2 — intra-node: binomial tree among the node's members, rooted
   // at the node root. The same shared payload is forwarded throughout,
   // so the fan-out still copies nothing.
   const std::vector<int> &Members =
-      L.Members[static_cast<std::size_t>(MyNode)];
-  auto Self = std::lower_bound(Members.begin(), Members.end(), Rank);
-  auto At = std::lower_bound(Members.begin(), Members.end(),
-                             NodeRoot(MyNode));
-  bcastPayloadOverList(Members,
-                       static_cast<int>(Self - Members.begin()),
-                       static_cast<int>(At - Members.begin()), Data,
-                       TagBcastIntra);
+      T.L.Members[static_cast<std::size_t>(MyNode)];
+  bcastTree(
+      static_cast<int>(Members.size()),
+      [&](int I) { return Members[static_cast<std::size_t>(I)]; },
+      T.memberIndex(MyNode, Rank), T.memberIndex(MyNode, T.nodeRoot(MyNode)),
+      Data, TagBcastIntra);
 }
 
 void Comm::bcastPayload(Payload &Data, int Root) {
   assert(Root >= 0 && Root < size() && "root out of range");
-  int P = size();
-  if (P == 1)
-    return;
-  if (G->twoLevelEligible()) {
+  if (G->twoLevelEligible())
     bcastPayloadTwoLevel(Data, Root);
-    return;
-  }
-  int RelRank = (Rank - Root + P) % P;
-
-  // Binomial tree: receive from the parent, then forward the *same*
-  // payload to the children — every rank ends up sharing the root's
-  // buffer, so the whole fan-out copies nothing.
-  unsigned Mask = 1;
-  while (static_cast<int>(Mask) < P) {
-    if (RelRank & static_cast<int>(Mask)) {
-      int Parent = (RelRank - static_cast<int>(Mask) + Root) % P;
-      Data = recvPayload(Parent, TagBcast);
-      break;
-    }
-    Mask <<= 1;
-  }
-  Mask >>= 1;
-  while (Mask > 0) {
-    int Child = RelRank + static_cast<int>(Mask);
-    if (Child < P)
-      sendPayload((Child + Root) % P, TagBcast, Data);
-    Mask >>= 1;
-  }
+  else
+    bcastTree(size(), [](int I) { return I; }, Rank, Root, Data, TagBcast);
 }
 
 void Comm::bcastBytes(std::vector<std::byte> &Data, int Root) {
@@ -223,23 +208,23 @@ void Comm::bcastBytes(std::vector<std::byte> &Data, int Root) {
   }
 }
 
-void Comm::gatherOverList(std::span<const int> Ranks, int MyIdx,
-                          int RootIdx, std::span<const std::byte> Local,
-                          std::vector<std::uint64_t> &Sizes,
-                          std::vector<std::byte> &Buf, int TagSizes,
-                          int TagData) {
-  int N = static_cast<int>(Ranks.size());
+template <typename RankOfFn>
+void Comm::gatherTree(int N, RankOfFn RankOf, int MyIdx, int RootIdx,
+                      std::span<const std::byte> Local,
+                      std::vector<std::uint64_t> &Sizes,
+                      std::vector<std::byte> &Buf, int TagSizes,
+                      int TagData) {
   assert(MyIdx >= 0 && MyIdx < N && RootIdx >= 0 && RootIdx < N &&
-         Ranks[static_cast<std::size_t>(MyIdx)] == Rank &&
-         "caller must be in the list");
+         RankOf(MyIdx) == Rank && "caller must be a member");
   int Rel = (MyIdx - RootIdx + N) % N;
 
-  // The flat binomial gather in list-index space: each node accumulates
-  // a contiguous window of relative indices [Rel, CoverEnd) as a sizes
-  // header (one uint64 per covered member) plus the concatenated data.
-  // On return at the list root, Sizes/Buf hold every member's
-  // contribution in relative-index order (i.e. starting at RootIdx and
-  // wrapping); non-roots leave them empty.
+  // Each member accumulates a contiguous window of relative indices
+  // [Rel, CoverEnd) as a sizes header (one uint64 per covered member)
+  // plus the concatenated data. Children at distance Mask arrive with
+  // exactly that layout, so merging is an append. On return at the tree
+  // root, Sizes/Buf hold every member's contribution in relative-index
+  // order (i.e. starting at RootIdx and wrapping); other members leave
+  // them empty.
   Sizes.assign(1, Local.size());
   Buf.assign(Local.begin(), Local.end());
   countCopied(Buf.size());
@@ -247,9 +232,7 @@ void Comm::gatherOverList(std::span<const int> Ranks, int MyIdx,
   unsigned Mask = 1;
   while (static_cast<int>(Mask) < N) {
     if (Rel & static_cast<int>(Mask)) {
-      int Parent =
-          Ranks[static_cast<std::size_t>((Rel - static_cast<int>(Mask) +
-                                          RootIdx) % N)];
+      int Parent = RankOf((Rel - static_cast<int>(Mask) + RootIdx) % N);
       isend(Parent, TagSizes, std::move(Sizes));
       sendPayload(Parent, TagData, Payload::adoptBytes(std::move(Buf)));
       Sizes.clear();
@@ -258,8 +241,7 @@ void Comm::gatherOverList(std::span<const int> Ranks, int MyIdx,
     }
     int Child = Rel + static_cast<int>(Mask);
     if (Child < N) {
-      int ChildRank =
-          Ranks[static_cast<std::size_t>((Child + RootIdx) % N)];
+      int ChildRank = RankOf((Child + RootIdx) % N);
       std::vector<std::uint64_t> ChildSizes =
           recv<std::uint64_t>(ChildRank, TagSizes);
       Payload ChildData = recvPayload(ChildRank, TagData);
@@ -274,35 +256,30 @@ void Comm::gatherOverList(std::span<const int> Ranks, int MyIdx,
     Mask <<= 1;
   }
   assert(Rel == 0 && static_cast<int>(Sizes.size()) == N &&
-         "list root must have combined every member");
+         "tree root must have combined every member");
 }
 
 std::vector<std::byte>
 Comm::gathervBytesTwoLevel(std::span<const std::byte> Local, int Root) {
-  const Group::NodeLayout &L = *G->layout();
+  TwoLevelPlan T{*G->layout(), Root};
+  const Group::NodeLayout &L = T.L;
   int MyNode = L.NodeOfRank[static_cast<std::size_t>(Rank)];
-  int RootNode = L.NodeOfRank[static_cast<std::size_t>(Root)];
-  auto NodeRoot = [&](int Node) {
-    return Node == RootNode ? Root : L.leaderOf(Node);
-  };
 
   // Stage 1 — intra-node: gather the node's contributions at its node
-  // root (the group root on its own node, the leader elsewhere).
+  // root.
   const std::vector<int> &Members =
       L.Members[static_cast<std::size_t>(MyNode)];
-  auto Self = std::lower_bound(Members.begin(), Members.end(), Rank);
-  auto At = std::lower_bound(Members.begin(), Members.end(),
-                             NodeRoot(MyNode));
-  int MyIdxIntra = static_cast<int>(Self - Members.begin());
-  int RootIdxIntra = static_cast<int>(At - Members.begin());
   std::vector<std::uint64_t> MemberSizes;
   std::vector<std::byte> NodeBuf;
-  gatherOverList(Members, MyIdxIntra, RootIdxIntra, Local, MemberSizes,
-                 NodeBuf, TagGatherIntraSizes, TagGatherIntraData);
-  if (Rank != NodeRoot(MyNode))
+  gatherTree(
+      static_cast<int>(Members.size()),
+      [&](int I) { return Members[static_cast<std::size_t>(I)]; },
+      T.memberIndex(MyNode, Rank), T.memberIndex(MyNode, T.nodeRoot(MyNode)),
+      Local, MemberSizes, NodeBuf, TagGatherIntraSizes, TagGatherIntraData);
+  if (Rank != T.nodeRoot(MyNode))
     return {};
 
-  // Pack the node block: the member sizes (in the intra list's
+  // Pack the node block: the member sizes (in the intra tree's
   // relative-index order, which the group root can reconstruct from the
   // layout) followed by the concatenated data.
   std::vector<std::byte> Block(MemberSizes.size() *
@@ -315,23 +292,17 @@ Comm::gathervBytesTwoLevel(std::span<const std::byte> Local, int Root) {
   countCopied(Block.size());
 
   // Stage 2 — inter-node: gather the node blocks at the group root over
-  // the node-root list (group root first, other nodes in dense order).
-  std::vector<int> Inter;
-  Inter.reserve(static_cast<std::size_t>(L.numNodes()));
-  Inter.push_back(Root);
-  for (int Nd = 0; Nd < L.numNodes(); ++Nd)
-    if (Nd != RootNode)
-      Inter.push_back(L.leaderOf(Nd));
-  int MyIdxInter =
-      MyNode == RootNode ? 0 : (MyNode < RootNode ? MyNode + 1 : MyNode);
+  // the node roots.
   std::vector<std::uint64_t> BlockSizes;
   std::vector<std::byte> AllBlocks;
-  gatherOverList(Inter, MyIdxInter, /*RootIdx=*/0, Block, BlockSizes,
-                 AllBlocks, TagGatherInterSizes, TagGatherInterData);
+  gatherTree(
+      L.numNodes(), [&](int K) { return T.nodeRoot(T.interNode(K)); },
+      T.interIndex(MyNode), /*RootIdx=*/0, Block, BlockSizes, AllBlocks,
+      TagGatherInterSizes, TagGatherInterData);
   if (Rank != Root)
     return {};
 
-  // Decode: blocks arrive in inter-list order; within block j the member
+  // Decode: blocks arrive in inter-tree order; within block J the member
   // chunks follow that node's intra relative-index order. Map every
   // chunk back to its group rank and emit rank order.
   int P = size();
@@ -339,14 +310,12 @@ Comm::gathervBytesTwoLevel(std::span<const std::byte> Local, int Root) {
   std::vector<std::uint64_t> ChunkBytes(static_cast<std::size_t>(P), 0);
   std::uint64_t BlockStart = 0;
   std::uint64_t TotalData = 0;
-  for (std::size_t J = 0; J < Inter.size(); ++J) {
-    int Nd = L.NodeOfRank[static_cast<std::size_t>(Inter[J])];
+  for (int J = 0; J < L.numNodes(); ++J) {
+    int Nd = T.interNode(J);
     const std::vector<int> &NodeMembers =
         L.Members[static_cast<std::size_t>(Nd)];
     int M = static_cast<int>(NodeMembers.size());
-    auto RootIt = std::lower_bound(NodeMembers.begin(), NodeMembers.end(),
-                                   NodeRoot(Nd));
-    int R0 = static_cast<int>(RootIt - NodeMembers.begin());
+    int R0 = T.memberIndex(Nd, T.nodeRoot(Nd));
     std::uint64_t DataOff =
         BlockStart + static_cast<std::uint64_t>(M) * sizeof(std::uint64_t);
     for (int K = 0; K < M; ++K) {
@@ -361,7 +330,7 @@ Comm::gathervBytesTwoLevel(std::span<const std::byte> Local, int Root) {
       DataOff += Bytes;
       TotalData += Bytes;
     }
-    BlockStart += BlockSizes[J];
+    BlockStart += BlockSizes[static_cast<std::size_t>(J)];
   }
   assert(BlockStart == AllBlocks.size() && "inter blocks must be consumed");
   std::vector<std::byte> Ordered;
@@ -387,44 +356,16 @@ std::vector<std::byte> Comm::gathervBytes(std::span<const std::byte> Local,
     return std::vector<std::byte>(Local.begin(), Local.end());
   if (G->twoLevelEligible())
     return gathervBytesTwoLevel(Local, Root);
-  int RelRank = (Rank - Root + P) % P;
+  std::vector<std::uint64_t> Sizes;
+  std::vector<std::byte> Buf;
+  gatherTree(
+      P, [](int I) { return I; }, Rank, Root, Local, Sizes, Buf,
+      TagGathervSizes, TagGathervData);
+  if (Rank != Root)
+    return {};
 
-  // Binomial tree in relrank space. Each node accumulates a contiguous
-  // window of relranks [RelRank, CoverEnd): a sizes header (one uint64
-  // per covered relrank) plus the concatenated data in ascending relrank
-  // order. Children at distance Mask arrive with exactly that layout, so
-  // merging is an append.
-  std::vector<std::uint64_t> Sizes = {Local.size()};
-  std::vector<std::byte> Buf(Local.begin(), Local.end());
-  countCopied(Buf.size());
-
-  unsigned Mask = 1;
-  while (static_cast<int>(Mask) < P) {
-    if (RelRank & static_cast<int>(Mask)) {
-      int Parent = (RelRank - static_cast<int>(Mask) + Root) % P;
-      isend(Parent, TagGathervSizes, std::move(Sizes));
-      sendPayload(Parent, TagGathervData, Payload::adoptBytes(std::move(Buf)));
-      return {};
-    }
-    int Child = RelRank + static_cast<int>(Mask);
-    if (Child < P) {
-      std::vector<std::uint64_t> ChildSizes =
-          recv<std::uint64_t>((Child + Root) % P, TagGathervSizes);
-      Payload ChildData = recvPayload((Child + Root) % P, TagGathervData);
-      assert(std::accumulate(ChildSizes.begin(), ChildSizes.end(),
-                             std::uint64_t{0}) == ChildData.size() &&
-             "gatherv sizes/data mismatch");
-      Sizes.insert(Sizes.end(), ChildSizes.begin(), ChildSizes.end());
-      countCopied(ChildData.size());
-      Buf.insert(Buf.end(), ChildData.bytes().begin(),
-                 ChildData.bytes().end());
-    }
-    Mask <<= 1;
-  }
-
-  // Root: Buf holds all contributions in relrank order. Reorder to rank
-  // order (identity when Root == 0).
-  assert(RelRank == 0 && static_cast<int>(Sizes.size()) == P);
+  // Buf holds all contributions in relrank order. Reorder to rank order
+  // (identity when Root == 0).
   if (Root == 0)
     return Buf;
   std::vector<std::uint64_t> Offsets(static_cast<std::size_t>(P) + 1, 0);

@@ -11,10 +11,11 @@
 /// substrate standing in for MPI in the paper's data-parallel applications.
 ///
 /// Supported operations: blocking send/recv (FIFO matching per source and
-/// tag), nonblocking isend/irecv (future-backed), zero-copy shared-payload
-/// send/recv/broadcast, barrier, broadcast and gatherv/scatterv (binomial
-/// trees), allgatherv, allreduce, and communicator splitting (the paper's
-/// `comm_sync` used to synchronise co-located benchmark processes).
+/// tag), nonblocking isend/irecv (irecv posts a receive slot that the
+/// matching send fills), zero-copy shared-payload send/recv/broadcast,
+/// barrier, broadcast and gatherv/scatterv (binomial trees), allgatherv,
+/// allreduce, and communicator splitting (the paper's `comm_sync` used to
+/// synchronise co-located benchmark processes).
 ///
 /// When the cost model carries a node topology (CostModel::topology())
 /// and the group spans more than one node at two-level scale
@@ -38,7 +39,6 @@
 
 #include <cstddef>
 #include <cstring>
-#include <future>
 #include <memory>
 #include <span>
 #include <type_traits>
@@ -66,9 +66,9 @@ public:
   RecvRequest() = default;
 
   /// True while the request is posted and not yet waited on.
-  bool pending() const { return Active; }
+  bool pending() const { return Slot != nullptr; }
 
-  /// True when wait() would return without blocking.
+  /// True when wait() would return (or throw) without blocking.
   bool ready();
 
   /// Blocks until the message arrives, advances the clock, and returns
@@ -78,10 +78,11 @@ public:
 
 private:
   friend class Comm;
-  std::shared_ptr<Group> G; // Keeps poison/stats alive.
-  std::future<Message> Future;
+  std::shared_ptr<Group> G; // Keeps the mailbox and wait slots alive.
+  Mailbox *Box = nullptr;
+  std::shared_ptr<Mailbox::Slot> Slot;
+  int WorldRank = 0;
   VirtualClock *Clock = nullptr;
-  bool Active = false;
 };
 
 /// Per-rank handle to a communication group.
@@ -367,16 +368,19 @@ private:
   /// Counts a physical deep copy of \p Bytes payload bytes.
   void countCopied(std::size_t Bytes);
 
-  // Two-level collective machinery (Comm.cpp). The *OverList helpers run
-  // the flat binomial algorithms over an explicit rank list (a node's
-  // members, or the node leaders) instead of the whole group.
-  void bcastPayloadOverList(std::span<const int> Ranks, int MyIdx,
-                            int RootIdx, Payload &Data, int Tag);
-  void gatherOverList(std::span<const int> Ranks, int MyIdx, int RootIdx,
-                      std::span<const std::byte> Local,
-                      std::vector<std::uint64_t> &Sizes,
-                      std::vector<std::byte> &Buf, int TagSizes,
-                      int TagData);
+  // The binomial trees behind bcast and gatherv (Comm.cpp), over N
+  // members: member I is group rank RankOf(I), the caller is member
+  // MyIdx and the tree is rooted at member RootIdx. The flat collectives
+  // run them over the whole group (the identity map), the two-level ones
+  // over a node's members and over the node roots.
+  template <typename RankOfFn>
+  void bcastTree(int N, RankOfFn RankOf, int MyIdx, int RootIdx,
+                 Payload &Data, int Tag);
+  template <typename RankOfFn>
+  void gatherTree(int N, RankOfFn RankOf, int MyIdx, int RootIdx,
+                  std::span<const std::byte> Local,
+                  std::vector<std::uint64_t> &Sizes,
+                  std::vector<std::byte> &Buf, int TagSizes, int TagData);
   void bcastPayloadTwoLevel(Payload &Data, int Root);
   std::vector<std::byte>
   gathervBytesTwoLevel(std::span<const std::byte> Local, int Root);

@@ -4,7 +4,8 @@
 
 #include <algorithm>
 #include <cassert>
-#include <future>
+#include <numeric>
+#include <utility>
 
 using namespace fupermod;
 
@@ -21,83 +22,54 @@ std::uint64_t mixShard(std::uint64_t Key) {
 
 } // namespace
 
-void Mailbox::push(Message Msg) {
-  std::promise<Message> Waiter;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Waiters.find(Msg.Tag);
-    if (It == Waiters.end() || It->second.empty()) {
-      Queues[Msg.Tag].push_back(std::move(Msg));
-      return;
-    }
-    Waiter = std::move(It->second.front());
-    It->second.pop_front();
-    if (It->second.empty())
-      Waiters.erase(It);
+bool Mailbox::push(Message Msg) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Waiters.find(Msg.Tag);
+  if (It == Waiters.end()) {
+    Queues[Msg.Tag].push_back(std::move(Msg));
+    return false;
   }
-  // Fulfil outside the lock: set_value wakes the receiver directly.
-  Waiter.set_value(std::move(Msg));
+  // Fill before popping: the deque may hold the slot's last reference.
+  Slot &S = *It->second.front();
+  S.Msg = std::move(Msg);
+  S.Filled = true;
+  It->second.pop_front();
+  if (It->second.empty())
+    Waiters.erase(It);
+  return true;
 }
 
-std::future<Message> Mailbox::asyncPop(int Tag, const PoisonState &Poison) {
-  std::promise<Message> Ready;
-  std::future<Message> Result = Ready.get_future();
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    auto It = Queues.find(Tag);
-    if (It == Queues.end() || It->second.empty()) {
-      // The poison check and the waiter registration happen under one
-      // lock, and the wake path drains waiters under the same lock: a
-      // receive either observes the flag here or is registered in time
-      // to be failed by poisonWaiters(). No poll needed.
-      if (Poison.poisoned())
-        Ready.set_exception(std::make_exception_ptr(Poison.makeError()));
-      else
-        Waiters[Tag].push_back(std::move(Ready));
-      return Result;
-    }
-    Message Msg = std::move(It->second.front());
-    It->second.pop_front();
-    if (It->second.empty())
-      Queues.erase(It);
-    Ready.set_value(std::move(Msg));
+std::shared_ptr<Mailbox::Slot> Mailbox::post(int Tag) {
+  auto S = std::make_shared<Slot>();
+  std::lock_guard<std::mutex> Lock(Mutex);
+  auto It = Queues.find(Tag);
+  if (It == Queues.end()) {
+    Waiters[Tag].push_back(S);
+    return S;
   }
-  return Result;
+  S->Msg = std::move(It->second.front());
+  S->Filled = true;
+  It->second.pop_front();
+  if (It->second.empty())
+    Queues.erase(It);
+  return S;
 }
 
-Message Mailbox::awaitMessage(std::future<Message> &Future) {
-  assert(Future.valid() && "receive already consumed");
-  // A message already handed to the future is delivered even on a
-  // poisoned world; an empty wait ends when the sender's push() arrives
-  // or poisoning fails the promise (rethrown by get()).
-  Future.wait();
-  return Future.get();
+bool Mailbox::filled(const Slot &S) {
+  std::lock_guard<std::mutex> Lock(Mutex);
+  return S.Filled;
 }
 
-Message Mailbox::popMatching(int Tag, const PoisonState &Poison) {
-  std::future<Message> Future = asyncPop(Tag, Poison);
-  return awaitMessage(Future);
-}
-
-void Mailbox::poisonWaiters(const PoisonState &Poison) {
-  std::map<int, std::deque<std::promise<Message>>> Doomed;
-  {
-    std::lock_guard<std::mutex> Lock(Mutex);
-    Doomed.swap(Waiters);
-  }
-  // Fulfil outside the lock, like push().
-  for (auto &[Tag, Pending] : Doomed)
-    for (std::promise<Message> &P : Pending)
-      P.set_exception(std::make_exception_ptr(Poison.makeError()));
+Message Mailbox::await(Slot &S, PoisonState &World, int Rank) {
+  World.waitUntil(Rank, [&] { return filled(S); });
+  return std::move(S.Msg);
 }
 
 Group::Group(std::shared_ptr<const CostModel> Cost,
              std::vector<int> GlobalRanks, std::vector<int> ParentRanks,
              std::shared_ptr<PoisonState> Poison,
              std::shared_ptr<CommStats> Stats, int TwoLevelMinRanks)
-    : Cost(std::move(Cost)),
-      Poison(Poison ? std::move(Poison)
-                    : std::make_shared<PoisonState>()),
+    : Cost(std::move(Cost)), Poison(std::move(Poison)),
       Stats(Stats ? std::move(Stats) : std::make_shared<CommStats>()),
       GlobalRanks(std::move(GlobalRanks)),
       ParentRanks(std::move(ParentRanks)),
@@ -107,6 +79,8 @@ Group::Group(std::shared_ptr<const CostModel> Cost,
   assert(this->GlobalRanks.size() == this->ParentRanks.size() &&
          "rank mapping size mismatch");
   int N = size();
+  if (!this->Poison)
+    this->Poison = std::make_shared<PoisonState>(N); // A new world.
 
   RankOfParentRank.reserve(this->ParentRanks.size());
   for (std::size_t I = 0; I < this->ParentRanks.size(); ++I)
@@ -127,9 +101,8 @@ Group::Group(std::shared_ptr<const CostModel> Cost,
   // ranks take adjacent tree positions so the fan-in combines within a
   // topology node before crossing it (the release value is order-free —
   // a max — so the permutation never changes results).
-  TreeOrder.resize(static_cast<std::size_t>(N));
-  for (int R = 0; R < N; ++R)
-    TreeOrder[static_cast<std::size_t>(R)] = R;
+  std::vector<int> TreeOrder(static_cast<std::size_t>(N));
+  std::iota(TreeOrder.begin(), TreeOrder.end(), 0);
   if (Layout)
     std::stable_sort(TreeOrder.begin(), TreeOrder.end(),
                      [&](int A, int B) {
@@ -137,44 +110,13 @@ Group::Group(std::shared_ptr<const CostModel> Cost,
                               Layout->NodeOfRank[static_cast<std::size_t>(B)];
                      });
   TreePos.resize(static_cast<std::size_t>(N));
-  for (int P = 0; P < N; ++P)
-    TreePos[static_cast<std::size_t>(TreeOrder[static_cast<std::size_t>(P)])] =
-        P;
   Nodes = std::vector<RankTreeNode>(static_cast<std::size_t>(N));
+  for (std::size_t P = 0; P < TreeOrder.size(); ++P) {
+    TreePos[static_cast<std::size_t>(TreeOrder[P])] = static_cast<int>(P);
+    Nodes[P].Owner = this->GlobalRanks[static_cast<std::size_t>(TreeOrder[P])];
+  }
 
   BarrierCost = this->Cost->barrierCost(N);
-
-  // Last, once every waitable structure exists: if the world is already
-  // poisoned the callback runs immediately (and harmlessly — no waiter
-  // can exist yet, and future waits observe the flag in their
-  // predicates).
-  PoisonToken = this->Poison->subscribe([this] { wakeAllWaiters(); });
-}
-
-Group::~Group() { Poison->unsubscribe(PoisonToken); }
-
-void Group::wakeAllWaiters() {
-  for (RankTreeNode &Node : Nodes) {
-    // Empty lock/unlock: orders the poison-flag store before any
-    // blocked waiter's predicate re-check, so the notify cannot be
-    // consumed without the flag being visible.
-    { std::lock_guard<std::mutex> Lock(Node.Mutex); }
-    Node.Cv.notify_all();
-  }
-  for (MailboxShard &Shard : Shards) {
-    std::vector<Mailbox *> Boxes;
-    {
-      std::lock_guard<std::mutex> Lock(Shard.Mutex);
-      Boxes.reserve(Shard.Boxes.size());
-      for (auto &[Key, Box] : Shard.Boxes)
-        Boxes.push_back(Box.get());
-    }
-    // The map only grows and boxes live as long as the group, so the
-    // pointers stay valid after the shard lock is dropped. A channel
-    // created after this snapshot fails its receives in asyncPop().
-    for (Mailbox *Box : Boxes)
-      Box->poisonWaiters(*Poison);
-  }
 }
 
 void Group::buildNodeLayout() {
@@ -248,176 +190,120 @@ std::size_t Group::mailboxCount() const {
   return Total;
 }
 
-int Group::treeChildCount(int Pos) const {
-  int FirstChild = Pos * TreeArity + 1;
-  if (FirstChild >= size())
-    return 0;
-  return std::min(TreeArity, size() - FirstChild);
-}
-
-template <typename MergeFn, typename ExtractFn>
-std::uint64_t Group::combineAtOwnNode(RankTreeNode &Node, int NumChildren,
-                                      MergeFn Merge, ExtractFn Extract) {
-  std::unique_lock<std::mutex> Lock(Node.Mutex);
-  Merge(Node);
-  Node.Cv.wait(Lock, [&] {
-    return Node.Arrived == NumChildren || Poison->poisoned();
-  });
-  if (Node.Arrived != NumChildren)
-    Poison->raise(); // A dead rank will never arrive (raise is lock-free).
-  // Reset the arrival state for the next round *before* signalling the
-  // parent: no child can deposit the next round's state until this rank
-  // has been woken and released, so the reset cannot race new arrivals.
-  Node.Arrived = 0;
-  Extract(Node);
-  // Captured while still holding the lock: the parent's wake for this
-  // round cannot land before our deposit, so comparing against this
-  // value can neither miss the wake nor consume a stale one.
-  return Node.WakeGen;
-}
-
-double Group::enterBarrier(int Rank, double LocalTime) {
+template <typename T, typename R, typename MergeFn, typename FinishFn>
+R Group::rendezvous(int Rank, T Mine, T RankTreeNode::*Acc,
+                    R RankTreeNode::*Out, MergeFn Merge, FinishFn Finish) {
   Poison->check();
-  if (size() == 1)
-    return LocalTime + BarrierCost;
   assert(Rank >= 0 && Rank < size() && "rank out of range");
   int Pos = TreePos[static_cast<std::size_t>(Rank)];
   RankTreeNode &Node = Nodes[static_cast<std::size_t>(Pos)];
-  int NumChildren = treeChildCount(Pos);
-
-  double SubtreeMax = 0.0;
-  std::uint64_t PreWakeGen = combineAtOwnNode(
-      Node, NumChildren,
-      [&](RankTreeNode &N) { N.MaxTime = std::max(N.MaxTime, LocalTime); },
-      [&](RankTreeNode &N) {
-        SubtreeMax = N.MaxTime;
-        N.MaxTime = 0.0;
-      });
-
-  double Release = 0.0;
-  if (Pos == 0) {
-    Release = SubtreeMax + BarrierCost;
-  } else {
-    RankTreeNode &Parent = Nodes[static_cast<std::size_t>(treeParent(Pos))];
-    {
-      std::lock_guard<std::mutex> Lock(Parent.Mutex);
-      Parent.MaxTime = std::max(Parent.MaxTime, SubtreeMax);
-      ++Parent.Arrived;
-    }
-    Parent.Cv.notify_all();
-    std::unique_lock<std::mutex> Lock(Node.Mutex);
-    Node.Cv.wait(Lock, [&] {
-      return Node.WakeGen != PreWakeGen || Poison->poisoned();
-    });
-    if (Node.WakeGen == PreWakeGen)
-      Poison->raise();
-    Release = Node.Release;
+  int FirstChild = std::min(Pos * TreeArity + 1, size());
+  int EndChild = std::min(FirstChild + TreeArity, size());
+  std::uint64_t Released;
+  {
+    std::lock_guard<std::mutex> Lock(Node.Mutex);
+    Merge(Node.*Acc, std::move(Mine));
+    // The parent releases this round only after this rank's deposit
+    // below, so the release bumps the count read here.
+    Released = Node.Released;
   }
 
-  // Wake the direct children with the root's release value; each child
-  // rank repeats this for its own subtree on the way out.
-  int FirstChild = Pos * TreeArity + 1;
-  for (int C = FirstChild; C < FirstChild + NumChildren; ++C) {
+  // Take the subtree state once every child has arrived. The arrival
+  // count resets before the parent hears of this subtree: no child can
+  // deposit the next round's state until this rank releases it below.
+  T Subtree{};
+  Poison->waitUntil(Node.Owner, [&] {
+    std::lock_guard<std::mutex> Lock(Node.Mutex);
+    if (Node.Arrived != EndChild - FirstChild)
+      return false;
+    Node.Arrived = 0;
+    Subtree = std::exchange(Node.*Acc, T{});
+    return true;
+  });
+
+  R Result{};
+  if (Pos == 0) {
+    Result = Finish(std::move(Subtree));
+  } else {
+    RankTreeNode &Parent =
+        Nodes[static_cast<std::size_t>((Pos - 1) / TreeArity)];
+    {
+      std::lock_guard<std::mutex> Lock(Parent.Mutex);
+      Merge(Parent.*Acc, std::move(Subtree));
+      ++Parent.Arrived;
+    }
+    Poison->wake(Parent.Owner);
+    Poison->waitUntil(Node.Owner, [&] {
+      std::lock_guard<std::mutex> Lock(Node.Mutex);
+      if (Node.Released == Released)
+        return false;
+      Result = std::move(Node.*Out);
+      return true;
+    });
+  }
+
+  // Release the direct children with the root's result; each child rank
+  // repeats this for its own subtree on the way out.
+  for (int C = FirstChild; C < EndChild; ++C) {
     RankTreeNode &Child = Nodes[static_cast<std::size_t>(C)];
     {
       std::lock_guard<std::mutex> Lock(Child.Mutex);
-      Child.Release = Release;
-      ++Child.WakeGen;
+      Child.*Out = Result;
+      ++Child.Released;
     }
-    Child.Cv.notify_all();
+    Poison->wake(Child.Owner);
   }
-  return Release;
+  return Result;
+}
+
+double Group::enterBarrier(int Rank, double LocalTime) {
+  return rendezvous(
+      Rank, LocalTime, &RankTreeNode::MaxTime, &RankTreeNode::Release,
+      [](double &Max, double T) { Max = std::max(Max, T); },
+      [&](double Max) { return Max + BarrierCost; });
 }
 
 std::shared_ptr<Group> Group::split(const SplitEntry &Entry) {
-  Poison->check();
-  using SplitMap = std::map<int, std::shared_ptr<Group>>;
-  std::shared_ptr<const SplitMap> Result;
-
-  if (size() == 1) {
-    auto Single = std::make_shared<SplitMap>();
-    (*Single)[Entry.Color] = std::make_shared<Group>(
-        Cost, std::vector<int>{GlobalRanks[0]},
-        std::vector<int>{Entry.ParentRank}, Poison, Stats, TwoLevelMinRanks);
-    Result = std::move(Single);
-  } else {
-    int Rank = Entry.ParentRank;
-    assert(Rank >= 0 && Rank < size() && "rank out of range");
-    int Pos = TreePos[static_cast<std::size_t>(Rank)];
-    RankTreeNode &Node = Nodes[static_cast<std::size_t>(Pos)];
-    int NumChildren = treeChildCount(Pos);
-
-    std::vector<SplitEntry> Gathered;
-    std::uint64_t PreWakeGen = combineAtOwnNode(
-        Node, NumChildren,
-        [&](RankTreeNode &N) { N.Entries.push_back(Entry); },
-        [&](RankTreeNode &N) {
-          Gathered = std::move(N.Entries);
-          N.Entries.clear();
-        });
-
-    if (Pos == 0) {
-      // Tree root: build one subgroup per color, ordered by (key, parent
-      // rank). Subgroups share the world's poison state and counters, so
-      // a failure anywhere unblocks ranks waiting in any subgroup.
-      assert(static_cast<int>(Gathered.size()) == size() &&
-             "split must combine every rank's entry");
-      std::stable_sort(Gathered.begin(), Gathered.end(),
-                       [](const SplitEntry &A, const SplitEntry &B) {
-                         if (A.Color != B.Color)
-                           return A.Color < B.Color;
-                         if (A.Key != B.Key)
-                           return A.Key < B.Key;
-                         return A.ParentRank < B.ParentRank;
-                       });
-      auto Built = std::make_shared<SplitMap>();
-      std::size_t I = 0;
-      while (I < Gathered.size()) {
-        std::size_t J = I;
-        std::vector<int> SubGlobal;
-        std::vector<int> SubParent;
-        while (J < Gathered.size() &&
-               Gathered[J].Color == Gathered[I].Color) {
-          SubGlobal.push_back(GlobalRanks[Gathered[J].ParentRank]);
-          SubParent.push_back(Gathered[J].ParentRank);
-          ++J;
-        }
-        (*Built)[Gathered[I].Color] = std::make_shared<Group>(
-            Cost, std::move(SubGlobal), std::move(SubParent), Poison, Stats,
-            TwoLevelMinRanks);
-        I = J;
+  auto Append = [](std::vector<SplitEntry> &All,
+                   std::vector<SplitEntry> More) {
+    All.insert(All.end(), More.begin(), More.end());
+  };
+  // The tree root builds one subgroup per color, ordered by (key, parent
+  // rank). Subgroups share the world's poison state and counters, so a
+  // failure anywhere unblocks ranks waiting in any subgroup.
+  auto Build = [&](std::vector<SplitEntry> Gathered) {
+    assert(static_cast<int>(Gathered.size()) == size() &&
+           "split must combine every rank's entry");
+    std::stable_sort(Gathered.begin(), Gathered.end(),
+                     [](const SplitEntry &A, const SplitEntry &B) {
+                       if (A.Color != B.Color)
+                         return A.Color < B.Color;
+                       if (A.Key != B.Key)
+                         return A.Key < B.Key;
+                       return A.ParentRank < B.ParentRank;
+                     });
+    auto Built = std::make_shared<SplitMap>();
+    std::size_t I = 0;
+    while (I < Gathered.size()) {
+      std::size_t J = I;
+      std::vector<int> SubGlobal;
+      std::vector<int> SubParent;
+      while (J < Gathered.size() && Gathered[J].Color == Gathered[I].Color) {
+        SubGlobal.push_back(GlobalRanks[Gathered[J].ParentRank]);
+        SubParent.push_back(Gathered[J].ParentRank);
+        ++J;
       }
-      Result = std::move(Built);
-    } else {
-      RankTreeNode &Parent = Nodes[static_cast<std::size_t>(treeParent(Pos))];
-      {
-        std::lock_guard<std::mutex> Lock(Parent.Mutex);
-        Parent.Entries.insert(Parent.Entries.end(), Gathered.begin(),
-                              Gathered.end());
-        ++Parent.Arrived;
-      }
-      Parent.Cv.notify_all();
-      std::unique_lock<std::mutex> Lock(Node.Mutex);
-      Node.Cv.wait(Lock, [&] {
-        return Node.WakeGen != PreWakeGen || Poison->poisoned();
-      });
-      if (Node.WakeGen == PreWakeGen)
-        Poison->raise();
-      Result = std::move(Node.SplitOut);
+      (*Built)[Gathered[I].Color] = std::make_shared<Group>(
+          Cost, std::move(SubGlobal), std::move(SubParent), Poison, Stats,
+          TwoLevelMinRanks);
+      I = J;
     }
-
-    int FirstChild = Pos * TreeArity + 1;
-    for (int C = FirstChild; C < FirstChild + NumChildren; ++C) {
-      RankTreeNode &Child = Nodes[static_cast<std::size_t>(C)];
-      {
-        std::lock_guard<std::mutex> Lock(Child.Mutex);
-        Child.SplitOut = Result;
-        ++Child.WakeGen;
-      }
-      Child.Cv.notify_all();
-    }
-  }
-
+    return std::shared_ptr<const SplitMap>(std::move(Built));
+  };
+  std::shared_ptr<const SplitMap> Result =
+      rendezvous(Entry.ParentRank, std::vector<SplitEntry>{Entry},
+                 &RankTreeNode::Entries, &RankTreeNode::SplitOut, Append,
+                 Build);
   auto It = Result->find(Entry.Color);
   assert(It != Result->end() && "split result missing for color");
   return It->second;

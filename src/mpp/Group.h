@@ -14,10 +14,10 @@
 /// hash maps, so a P-rank world costs memory proportional to the
 /// channels actually used rather than P². Barrier and split rendezvous
 /// run over a combining tree of per-rank nodes (arity 4), so P=1024+
-/// ranks never serialise on one mutex/condvar. All blocking waits are
-/// event-driven — woken by the peer's notify or by the poison broadcast
-/// (see Poison.h), never by a timer poll, so a thousand sleeping ranks
-/// cost the scheduler nothing.
+/// ranks never serialise on one mutex. Every blocking wait parks the
+/// rank on its world wait slot (PoisonState::waitUntil), woken by the
+/// peer that completes it or by the poison broadcast, never by a timer
+/// poll, so a thousand sleeping ranks cost the scheduler nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -29,11 +29,9 @@
 #include "mpp/Poison.h"
 
 #include <atomic>
-#include <condition_variable>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <future>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -106,42 +104,40 @@ struct CommStatsSnapshot {
 
 /// FIFO channel for one (source, destination) rank pair, indexed by tag:
 /// each tag has its own deque, so matching never scans unrelated traffic,
-/// and a pending receive is a promise the next matching push fulfils.
+/// and a posted receive is a slot that the next matching push fills.
 class Mailbox {
 public:
-  /// Enqueues a message, or hands it straight to the oldest pending
-  /// receiver of its tag.
-  void push(Message Msg);
+  /// A posted receive, filled under the mailbox's lock.
+  struct Slot {
+    bool Filled = false;
+    Message Msg;
+  };
 
-  /// Posts a receive for \p Tag. The returned future is ready immediately
-  /// when a matching message is queued; otherwise the next matching
-  /// push() fulfils it — or poisoning fails it with a CommError, so the
-  /// receiver never strands on a dead sender. On an already-poisoned
-  /// world with no queued message the future holds the error up front.
-  /// Pending receives of one tag are served FIFO. Every posted receive
-  /// must be consumed (a dropped future forfeits the message that
-  /// eventually fulfils it).
-  std::future<Message> asyncPop(int Tag, const PoisonState &Poison);
+  /// Enqueues \p Msg, or fills the oldest posted receive of its tag and
+  /// returns true: the caller must then wake the receiving rank.
+  bool push(Message Msg);
 
-  /// Blocks on \p Future until it is ready; rethrows the CommError when
-  /// the wait was failed by poisoning. A message already delivered to
-  /// the future is returned even on a poisoned world.
-  static Message awaitMessage(std::future<Message> &Future);
+  /// Posts a receive for \p Tag. The slot comes back filled when a
+  /// matching message is queued; otherwise the next matching push()
+  /// fills it. Posted receives of one tag are filled FIFO. A slot that
+  /// is never awaited forfeits the message that fills it.
+  std::shared_ptr<Slot> post(int Tag);
 
-  /// asyncPop + awaitMessage: blocks until a message with \p Tag arrives.
-  Message popMatching(int Tag, const PoisonState &Poison);
+  /// True once push() has filled \p S, a slot posted here.
+  bool filled(const Slot &S);
 
-  /// Fails every pending receive with the poison error (the wake path of
-  /// PoisonState::poison()). Receives posted afterwards fail in
-  /// asyncPop(); receives that already hold a message keep it.
-  void poisonWaiters(const PoisonState &Poison);
+  /// Blocks world rank \p Rank until \p S, a slot posted here, is filled
+  /// and returns its message. Throws CommError when \p World is poisoned
+  /// while \p S is still empty; a message that filled it first is
+  /// delivered even on a poisoned world.
+  Message await(Slot &S, PoisonState &World, int Rank);
 
 private:
   std::mutex Mutex;
   /// Queued messages per tag (senders got here first).
   std::map<int, std::deque<Message>> Queues;
-  /// Pending receivers per tag (receivers got here first).
-  std::map<int, std::deque<std::promise<Message>>> Waiters;
+  /// Posted receives per tag (receivers got here first).
+  std::map<int, std::deque<std::shared_ptr<Slot>>> Waiters;
 };
 
 /// Shared state of one communicator (world or split subgroup).
@@ -166,13 +162,11 @@ public:
         std::shared_ptr<CommStats> Stats = nullptr,
         int TwoLevelMinRanks = DefaultTwoLevelMinRanks);
 
-  /// Unsubscribes the group's poison wake callback.
-  ~Group();
-
   Group(const Group &) = delete;
   Group &operator=(const Group &) = delete;
 
-  /// The failure flag shared across this group and all its subgroups.
+  /// The failure flag and rank wait slots shared across this group and
+  /// all its subgroups.
   PoisonState &poison() { return *Poison; }
   const PoisonState &poison() const { return *Poison; }
 
@@ -259,29 +253,29 @@ private:
     std::unordered_map<std::uint64_t, std::unique_ptr<Mailbox>> Boxes;
   };
 
+  using SplitMap = std::map<int, std::shared_ptr<Group>>;
+
   /// One rank's node in the combining tree used by barrier and split.
   /// Children deposit their combined subtree state here; the owning rank
-  /// waits for childCount() arrivals, pushes the combination to its
-  /// parent's node, then waits for the wake (WakeGen bump) carrying the
-  /// root's result back down.
+  /// waits for all of them, hands the combination to its parent's node,
+  /// then waits for the parent to release it with the root's result.
   struct RankTreeNode {
     std::mutex Mutex;
-    std::condition_variable Cv;
+    /// World rank of the node's owner, whose wait slot the node's
+    /// arrivals and releases wake.
+    int Owner = 0;
     /// Children that have deposited their subtree state this round.
     int Arrived = 0;
     /// Barrier: running max of entry times over self + arrived subtrees.
     double MaxTime = 0.0;
     /// Split: accumulated entries of self + arrived subtrees.
     std::vector<SplitEntry> Entries;
-    /// Bumped by the parent when Release / SplitOut are valid; the owner
-    /// captures the pre-wake value while still holding its own lock in
-    /// the arrival phase, so a wake can never be missed or consumed by
-    /// the wrong round.
-    std::uint64_t WakeGen = 0;
+    /// Bumped by the parent when Release / SplitOut are valid.
+    std::uint64_t Released = 0;
     /// Barrier result propagated down the tree.
     double Release = 0.0;
     /// Split result propagated down the tree.
-    std::shared_ptr<const std::map<int, std::shared_ptr<Group>>> SplitOut;
+    std::shared_ptr<const SplitMap> SplitOut;
   };
 
   /// Fan-in of the combining tree. Four keeps the tree depth at
@@ -294,24 +288,17 @@ private:
            static_cast<std::uint64_t>(Dst);
   }
 
-  int treeParent(int Pos) const { return (Pos - 1) / TreeArity; }
-  int treeChildCount(int Pos) const;
-
-  /// Merges the caller's own contribution (\p Merge), waits until all
-  /// \p NumChildren children have arrived (woken by the last child's
-  /// notify, or by poisoning), then resets the arrival count and runs
-  /// \p Extract — all under the node's lock. Returns the pre-wake
-  /// WakeGen for the wait-for-release phase.
-  template <typename MergeFn, typename ExtractFn>
-  std::uint64_t combineAtOwnNode(RankTreeNode &Node, int NumChildren,
-                                 MergeFn Merge, ExtractFn Extract);
+  /// One round of the combining tree, behind both barrier and split.
+  /// \p Merge(Acc, V) folds a value into a node's RankTreeNode::*Acc: the
+  /// caller's own \p Mine into its node, then, once every child has
+  /// arrived, the node's subtree state into the parent's node. The tree
+  /// root turns the whole tree's state into the result with \p Finish,
+  /// and the result travels back down through RankTreeNode::*Out.
+  template <typename T, typename R, typename MergeFn, typename FinishFn>
+  R rendezvous(int Rank, T Mine, T RankTreeNode::*Acc, R RankTreeNode::*Out,
+               MergeFn Merge, FinishFn Finish);
 
   void buildNodeLayout();
-
-  /// The poison wake callback: notifies every tree-node condition
-  /// variable and fails every pending mailbox receive, so no waiter of
-  /// this group outlives a world failure.
-  void wakeAllWaiters();
 
   std::shared_ptr<const CostModel> Cost;
   std::shared_ptr<PoisonState> Poison;
@@ -328,20 +315,16 @@ private:
   std::uint64_t ShardMask = 0;
 
   // Combining tree: Nodes[TreePos[Rank]] is rank Rank's tree node.
-  // TreeOrder permutes ranks so that co-located ranks (same topology
-  // node) occupy adjacent tree positions and combine locally first.
+  // Co-located ranks (same topology node) occupy adjacent tree positions
+  // and combine locally first.
   std::vector<RankTreeNode> Nodes;
   std::vector<int> TreePos;
-  std::vector<int> TreeOrder;
 
   /// Barrier cost hoisted to construction — the group size never changes.
   double BarrierCost = 0.0;
 
   std::unique_ptr<NodeLayout> Layout;
   int TwoLevelMinRanks = DefaultTwoLevelMinRanks;
-
-  /// Subscription token of wakeAllWaiters() with the shared PoisonState.
-  std::uint64_t PoisonToken = 0;
 };
 
 } // namespace fupermod

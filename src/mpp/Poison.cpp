@@ -1,50 +1,35 @@
-//===-- mpp/Poison.cpp - Group failure propagation ------------------------===//
+//===-- mpp/Poison.cpp - World failure and rank waits ---------------------===//
 
 #include "mpp/Poison.h"
 
 using namespace fupermod;
 
+PoisonState::PoisonState(int NumRanks)
+    : Slots(static_cast<std::size_t>(NumRanks)) {}
+
 void PoisonState::poison(int InFailedRank, const std::string &InReason) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Flag.load(std::memory_order_relaxed))
-    return; // First failure wins.
-  // Diagnostics first, then the release store: a reader that sees the
-  // flag is guaranteed to see them, so raise() needs no lock.
-  FailedRank = InFailedRank;
-  Reason = InReason;
-  Flag.store(true, std::memory_order_release);
-  // Wake everyone. Invoked under the lock so unsubscribe() can guarantee
-  // the callback's owner is safe to destroy once it returns.
-  for (auto &[Token, OnPoison] : Subscribers)
-    OnPoison();
+  {
+    std::lock_guard<std::mutex> Lock(Mutex);
+    if (Flag.load(std::memory_order_relaxed))
+      return; // First failure wins.
+    // Diagnostics first, then the release store: a reader that sees the
+    // flag is guaranteed to see them, so check() needs no lock.
+    FailedRank = InFailedRank;
+    Reason = InReason;
+    Flag.store(true, std::memory_order_release);
+  }
+  for (std::size_t R = 0; R < Slots.size(); ++R)
+    wake(static_cast<int>(R));
 }
 
 void PoisonState::check() const {
   if (poisoned())
-    raise();
+    throw CommError(FailedRank, "rank " + std::to_string(FailedRank) +
+                                    " failed: " + Reason);
 }
 
-CommError PoisonState::makeError() const {
-  return CommError(FailedRank, "rank " + std::to_string(FailedRank) +
-                                   " failed: " + Reason);
-}
-
-void PoisonState::raise() const { throw makeError(); }
-
-std::uint64_t PoisonState::subscribe(std::function<void()> OnPoison) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  if (Flag.load(std::memory_order_relaxed)) {
-    OnPoison(); // Too late to wait for the event: deliver it now.
-    return 0;   // Nothing retained; unsubscribe(0) is a no-op.
-  }
-  std::uint64_t Token = NextToken++;
-  Subscribers.emplace(Token, std::move(OnPoison));
-  return Token;
-}
-
-void PoisonState::unsubscribe(std::uint64_t Token) {
-  if (Token == 0)
-    return;
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Subscribers.erase(Token);
+void PoisonState::wake(int Rank) {
+  std::atomic<std::uint32_t> &Slot = Slots[static_cast<std::size_t>(Rank)];
+  Slot.fetch_add(1);
+  Slot.notify_all();
 }

@@ -1,23 +1,26 @@
-//===-- mpp/Poison.h - Group failure propagation ----------------*- C++ -*-===//
+//===-- mpp/Poison.h - World failure and rank waits -------------*- C++ -*-===//
 //
 // Part of the FuPerMod reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Error propagation for the SPMD runtime. When a rank dies (uncaught
-/// exception, explicit Comm::abort), its world is *poisoned*: every rank
-/// blocked in — or later entering — a communication operation receives a
-/// CommError instead of deadlocking on a peer that will never show up.
-/// Poisoning is one-way; a poisoned world never recovers (mirroring the
-/// default MPI error model, where the job is torn down).
+/// The state a world group shares with every subgroup split from it: the
+/// failure flag, and one wait slot per world rank that every blocking
+/// call of the runtime parks on.
 ///
-/// Propagation is event-driven: blocked waiters never poll the flag on a
-/// timer. Each communicator subscribes a wake callback; the poisoning
-/// rank runs them all, which notifies every rendezvous condition
-/// variable and fails every pending mailbox receive. At a thousand ranks
-/// this matters — a periodic poll across that many sleeping threads
-/// saturates small machines before the actual communication does.
+/// When a rank dies (uncaught exception, explicit Comm::abort), its world
+/// is *poisoned*: every rank blocked in — or later entering — a
+/// communication operation receives a CommError instead of deadlocking
+/// on a peer that will never show up. Poisoning is one-way; a poisoned
+/// world never recovers (mirroring the default MPI error model, where the
+/// job is torn down).
+///
+/// A blocked rank waits in waitUntil() on its own slot, an event count:
+/// whoever changes what the rank waits for (a posted receive filled, a
+/// tree node's children arrived, a barrier released) wakes that rank's
+/// slot, and poison() wakes every slot. Waits are never timed, so a
+/// thousand sleeping ranks cost the scheduler nothing.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -26,11 +29,10 @@
 
 #include <atomic>
 #include <cstdint>
-#include <functional>
-#include <map>
 #include <mutex>
 #include <stdexcept>
 #include <string>
+#include <vector>
 
 namespace fupermod {
 
@@ -49,16 +51,18 @@ private:
   int FailedRank;
 };
 
-/// One-way failure flag shared by a world group and every subgroup split
-/// from it. The atomic makes the fast path (healthy world) a single
-/// relaxed load; the diagnostic fields are written once before the flag
-/// is published, so readers on the poisoned path need no lock. The mutex
-/// guards only the subscriber list (and serialises racing poisoners).
+/// One-way failure flag plus the world ranks' wait slots. The atomic flag
+/// makes the fast path (healthy world) a single load; the diagnostic
+/// fields are written once before the flag is published, so readers on
+/// the poisoned path need no lock. The mutex only serialises racing
+/// poisoners.
 class PoisonState {
 public:
-  /// Marks the world failed and runs every subscribed wake callback. The
-  /// first caller wins; later calls are ignored so the original cause is
-  /// preserved.
+  /// A world of \p NumRanks ranks, each with its own wait slot.
+  explicit PoisonState(int NumRanks);
+
+  /// Marks the world failed and wakes every rank. The first caller wins;
+  /// later calls are ignored so the original cause is preserved.
   void poison(int FailedRank, const std::string &Reason);
 
   /// True once any rank has failed.
@@ -67,26 +71,28 @@ public:
   /// Throws CommError when the world is poisoned; no-op otherwise.
   void check() const;
 
-  /// Builds the CommError for the recorded failure. Pre: poisoned().
-  CommError makeError() const;
+  /// Blocks world rank \p Rank until \p Done() returns true. Done() is
+  /// re-evaluated after every wake(Rank) and after poison(); it must read
+  /// its state under the lock that guards it, and whoever changes that
+  /// state must call wake(Rank) after releasing the lock. Throws the
+  /// recorded CommError when the world is poisoned and Done() is still
+  /// false, so a wait whose condition was met before the failure returns
+  /// normally.
+  template <typename DoneFn> void waitUntil(int Rank, DoneFn Done) {
+    std::atomic<std::uint32_t> &Slot = Slots[static_cast<std::size_t>(Rank)];
+    for (;;) {
+      // Read the count before evaluating Done(): a wake that lands after
+      // the evaluation changes the count, so wait() returns at once.
+      std::uint32_t Seen = Slot.load();
+      if (Done())
+        return;
+      check();
+      Slot.wait(Seen);
+    }
+  }
 
-  /// Throws the CommError for the recorded failure. Pre: poisoned().
-  /// Takes no locks, so it is safe to call while holding a rendezvous or
-  /// mailbox mutex.
-  [[noreturn]] void raise() const;
-
-  /// Registers \p OnPoison to run (once, from the poisoning rank's
-  /// thread) when the world becomes poisoned, and returns a token for
-  /// unsubscribe(). If the world is already poisoned the callback runs
-  /// immediately in the caller's thread. Callbacks must only wake
-  /// waiters — they run under the subscription lock and must not call
-  /// back into subscribe/unsubscribe/poison.
-  std::uint64_t subscribe(std::function<void()> OnPoison);
-
-  /// Removes a subscription. Blocks until a concurrently running
-  /// invocation of the callback has finished, so the owner may be
-  /// destroyed safely afterwards.
-  void unsubscribe(std::uint64_t Token);
+  /// Wakes world rank \p Rank to re-evaluate its wait condition.
+  void wake(int Rank);
 
 private:
   std::atomic<bool> Flag{false};
@@ -94,10 +100,10 @@ private:
   /// observed poisoned() may read them without the mutex.
   int FailedRank = -1;
   std::string Reason;
+  std::mutex Mutex;
 
-  mutable std::mutex Mutex;
-  std::uint64_t NextToken = 1;
-  std::map<std::uint64_t, std::function<void()>> Subscribers;
+  /// Event count per world rank, bumped by every wake of that rank.
+  std::vector<std::atomic<std::uint32_t>> Slots;
 };
 
 } // namespace fupermod

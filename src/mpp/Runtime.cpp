@@ -41,8 +41,7 @@ int SpmdResult::firstFailedRank() const {
 namespace {
 
 /// One rank's worker thread. std::thread offers no stack-size control,
-/// so with a configured stack the thread is spawned through pthreads
-/// (2048 ranks at the common 8 MiB default would reserve ~16 GiB);
+/// so a thread with a given stack size is spawned through pthreads;
 /// otherwise — including on non-POSIX hosts — it falls back to
 /// std::thread and the platform default.
 class RankThread {
@@ -50,11 +49,6 @@ public:
   RankThread(std::function<void()> Fn, std::size_t StackBytes) {
 #ifdef FUPERMOD_HAVE_PTHREAD_STACKS
     if (StackBytes != 0) {
-      // Respect the platform floor; below it pthread_attr_setstacksize
-      // fails outright.
-      StackBytes = std::max(StackBytes,
-                            static_cast<std::size_t>(PTHREAD_STACK_MIN));
-      StackBytes = std::max(StackBytes, std::size_t{64} * 1024);
       pthread_attr_t Attr;
       if (pthread_attr_init(&Attr) != 0)
         throw std::runtime_error("runSpmd: pthread_attr_init failed");
@@ -114,12 +108,9 @@ SpmdResult fupermod::runSpmd(int NumRanks,
   if (!Cost)
     Cost = std::make_shared<FreeCostModel>();
 
-  // Automatic stack sizing: default stacks below 512 ranks (identical to
-  // the historical behaviour), 1 MiB from there up so thousand-rank
+  // Default stacks below 512 ranks, 1 MiB from there up so thousand-rank
   // worlds fit comfortably in memory.
-  std::size_t StackBytes = Options.StackBytes;
-  if (StackBytes == 0 && NumRanks >= 512)
-    StackBytes = std::size_t{1} << 20;
+  std::size_t StackBytes = NumRanks >= 512 ? std::size_t{1} << 20 : 0;
 
   std::vector<int> Identity(static_cast<std::size_t>(NumRanks));
   std::iota(Identity.begin(), Identity.end(), 0);

@@ -54,14 +54,6 @@ struct SpmdResult {
 /// Tuning knobs of an SPMD run. The defaults reproduce the historical
 /// behaviour at small P and scale transparently to thousands of ranks.
 struct SpmdOptions {
-  /// Stack size of each rank thread, in bytes. 0 selects automatically:
-  /// the platform default below 512 ranks, 1 MiB from 512 ranks up (so a
-  /// P=2048 world costs 2 GiB of reservation instead of the ~16 GiB that
-  /// 2048 default 8 MiB stacks would claim). Non-zero values are clamped
-  /// up to a safe minimum; on platforms without pthreads the default
-  /// stack is always used.
-  std::size_t StackBytes = 0;
-
   /// Group size from which topology-aware two-level collectives engage
   /// when the cost model carries a multi-node topology
   /// (CostModel::topology()). <= 0 disables them entirely (always flat).
@@ -70,7 +62,11 @@ struct SpmdOptions {
 
 /// Runs \p Body on \p NumRanks ranks, each on its own thread with its own
 /// virtual clock starting at zero. Blocks until every rank returns.
-/// Throws std::invalid_argument when \p NumRanks <= 0.
+/// Throws std::invalid_argument when \p NumRanks <= 0. Rank threads get
+/// the platform's default stack below 512 ranks and 1 MiB from 512 up,
+/// so a P=2048 world reserves 2 GiB instead of the ~16 GiB of 2048
+/// default 8 MiB stacks (platforms without pthreads always use the
+/// default).
 ///
 /// A body that throws does not take the process down: the escaping
 /// exception poisons the world (so peers blocked in communication get a

@@ -411,7 +411,7 @@ TEST(Poison, RecvFromDeadRankThrows) {
 TEST(Poison, QueuedMessagesStillDeliveredAfterDeath) {
   // Rank 0 sends, then dies. The queued message must still be received;
   // only the *next* receive (which can never be satisfied) throws.
-  runSpmd(2, [](Comm &C) {
+  SpmdResult R = runSpmd(2, [](Comm &C) {
     if (C.rank() == 0) {
       C.sendValue<int>(1, 7, 42);
       throw std::runtime_error("died after send");
@@ -419,6 +419,49 @@ TEST(Poison, QueuedMessagesStillDeliveredAfterDeath) {
     EXPECT_EQ(C.recvValue<int>(0, 7), 42);
     EXPECT_THROW(C.recvValue<int>(0, 7), CommError);
   });
+  // An exception out of the receive would end rank 1's body instead.
+  EXPECT_TRUE(R.Ranks[1].Ok) << R.Ranks[1].Error;
+}
+
+TEST(Poison, PostedReceiveFilledBeforeDeathIsStillDelivered) {
+  // Rank 1 fills rank 0's posted receive, then dies. The message reached
+  // the receive before the failure, so waiting on it after the world is
+  // poisoned still returns it.
+  int Got = 0;
+  SpmdResult R = runSpmd(2, [&](Comm &C) {
+    if (C.rank() == 1) {
+      C.barrier();
+      C.sendValue<int>(0, 5, 42);
+      throw std::runtime_error("died after send");
+    }
+    RecvRequest Req = C.irecv(1, 5);
+    C.barrier();
+    // Rank 1 never enters this barrier: it throws once the send is done.
+    EXPECT_THROW(C.barrier(), CommError);
+    Got = Req.wait().toVector<int>().at(0);
+  });
+  EXPECT_TRUE(R.Ranks[0].Ok) << R.Ranks[0].Error;
+  EXPECT_EQ(Got, 42);
+}
+
+TEST(Poison, PendingReceiveThrowsWhenAnotherRankDies) {
+  // Nobody sends to rank 0's posted receive; rank 2's death must end
+  // the wait with a CommError naming rank 2.
+  int FailedRank = -1;
+  SpmdResult R = runSpmd(3, [&](Comm &C) {
+    if (C.rank() == 2)
+      throw std::runtime_error("late fatal");
+    if (C.rank() != 0)
+      return;
+    RecvRequest Req = C.irecv(1, 5);
+    try {
+      Req.wait();
+    } catch (const CommError &E) {
+      FailedRank = E.failedRank();
+    }
+  });
+  EXPECT_TRUE(R.Ranks[0].Ok) << R.Ranks[0].Error;
+  EXPECT_EQ(FailedRank, 2);
 }
 
 TEST(Poison, ExplicitAbortPoisonsTheWorld) {
