@@ -9,6 +9,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -408,37 +409,35 @@ MatMulReport fupermod::runParallelMatMul(const Cluster &Platform,
 
   MatMulReport Report;
   if (Options.Verify) {
-    // Verification on the host: the ranks' rectangles assembled into C,
-    // compared with a serial product of the same blocks.
-    std::size_t NB = static_cast<std::size_t>(N) * BS;
-    // Copies a row-major Rows x Cols matrix into Full at (Row0, Col0).
-    auto Place = [NB](std::span<const double> Src, std::size_t Rows,
-                      std::size_t Cols, std::size_t Row0, std::size_t Col0,
-                      std::vector<double> &Full) {
-      for (std::size_t I = 0; I < Rows; ++I)
-        std::copy_n(Src.begin() + static_cast<std::ptrdiff_t>(I * Cols), Cols,
-                    Full.begin() +
-                        static_cast<std::ptrdiff_t>((Row0 + I) * NB + Col0));
-    };
-    std::vector<double> AFull(NB * NB), BFull(NB * NB), CFull(NB * NB),
-        Ref(NB * NB, 0.0);
-    for (int Row = 0; Row < N; ++Row)
-      for (int Col = 0; Col < N; ++Col) {
-        auto R0 = static_cast<std::size_t>(Row) * BS;
-        auto C0 = static_cast<std::size_t>(Col) * BS;
-        Place(ABlocks[BlockAt(Row, Col)].as<double>(), BS, BS, R0, C0, AFull);
-        Place(BBlocks[BlockAt(Row, Col)].as<double>(), BS, BS, R0, C0, BFull);
-      }
+    // Verification on the host, one C block at a time and in place: a
+    // serial product of the block buffer's slots, accumulated over K
+    // ascending into one zeroed block, against that block of the rank's
+    // rectangle. gemmBlocked adds each element's products in ascending l
+    // whatever its tiling, so the reference equals one gemmBlocked over
+    // the whole matrices. A NaN difference sticks in MaxError.
+    std::vector<double> Ref(BB);
     for (int Rank = 0; Rank < P; ++Rank) {
       const GridRect &R = Rects[static_cast<std::size_t>(Rank)];
-      const std::size_t Rows = static_cast<std::size_t>(R.H) * BS;
-      const std::size_t Cols = static_cast<std::size_t>(R.W) * BS;
-      Place({Products[static_cast<std::size_t>(Rank)].CRect.get(), Rows * Cols},
-            Rows, Cols, static_cast<std::size_t>(R.Y) * BS,
-            static_cast<std::size_t>(R.X) * BS, CFull);
+      const double *CRect =
+          Products[static_cast<std::size_t>(Rank)].CRect.get();
+      const std::size_t Ldc = static_cast<std::size_t>(R.W) * BS;
+      for (int Row = 0; Row < R.H; ++Row)
+        for (int Col = 0; Col < R.W; ++Col) {
+          std::fill(Ref.begin(), Ref.end(), 0.0);
+          for (int K = 0; K < N; ++K)
+            gemmBlocked(BS, BS, BS, ABlocks[BlockAt(R.Y + Row, K)].as<double>(),
+                        BBlocks[BlockAt(K, R.X + Col)].as<double>(), Ref);
+          const double *CBlock = CRect +
+                                 static_cast<std::size_t>(Row) * BS * Ldc +
+                                 static_cast<std::size_t>(Col) * BS;
+          for (std::size_t I = 0; I < BS; ++I) {
+            double E = maxAbsDiff({Ref.data() + I * BS, BS},
+                                  {CBlock + I * Ldc, BS});
+            if (E > Report.MaxError || std::isnan(E))
+              Report.MaxError = E;
+          }
+        }
     }
-    gemmBlocked(NB, NB, NB, AFull, BFull, Ref);
-    Report.MaxError = maxAbsDiff(CFull, Ref);
   }
 
   Report.ComputeTimes = ComputeTimes;

@@ -13,7 +13,8 @@
 /// its C rectangle with them.
 ///
 /// The computation is performed for real (block GEMMs on real data, so
-/// the result can be verified against a serial product), while per-rank
+/// the result can be verified against a serial product, block by block
+/// and in place, without assembling any full matrix), while per-rank
 /// computation *cost* is charged to the virtual clock from the simulated
 /// device profiles, and communication is costed by the mpp runtime. The
 /// two are separate: the SPMD step loop communicates, charges each
@@ -59,7 +60,9 @@ struct MatMulOptions {
   int NBlocks = 8;
   /// Block edge b (a block is b x b doubles).
   int BlockSize = 8;
-  /// Compare the product with a serial GEMM on the host (no messages).
+  /// Compare the product with a serial GEMM on the host, one C block at a
+  /// time, each against gemmBlocked over its K-ascending block products
+  /// (no messages, no full-matrix copies).
   bool Verify = true;
   /// Share pivot payloads across receivers instead of copying per send.
   bool ZeroCopy = true;
@@ -88,7 +91,8 @@ struct MatMulReport {
   std::uint64_t ResultHash = 0;
   /// World communication counters for the whole run.
   CommStatsSnapshot Comm;
-  /// Largest |parallel - serial| element difference (0 when Verify off).
+  /// Largest |parallel - serial| element difference: NaN when a pair is
+  /// unordered, 0 when Verify is off.
   double MaxError = 0.0;
 };
 

@@ -2,6 +2,7 @@
 
 #include "apps/Stencil.h"
 
+#include "blas/Gemm.h"
 #include "dist/PartitionedVector.h"
 #include "engine/Balance.h"
 #include "engine/Session.h"
@@ -190,8 +191,7 @@ StencilReport fupermod::runStencil(const Cluster &Platform,
             stencilInitial(Rows, Cols, R, Col);
     for (int It = 0; It < Options.Iterations; ++It)
       serialSweep(Ref, Rows, Cols);
-    for (std::size_t I = 0; I < Grid.size(); ++I)
-      MaxError = std::max(MaxError, std::fabs(Grid[I] - Ref[I]));
+    MaxError = maxAbsDiff(Grid, Ref);
     FinalGrid = std::move(Grid);
   };
 

@@ -9,6 +9,7 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -365,7 +366,12 @@ double fupermod::maxAbsDiff(std::span<const double> A,
                             std::span<const double> B) {
   assert(A.size() == B.size() && "mismatched buffers");
   double Max = 0.0;
-  for (std::size_t I = 0; I < A.size(); ++I)
-    Max = std::max(Max, std::fabs(A[I] - B[I]));
+  for (std::size_t I = 0; I < A.size(); ++I) {
+    if (std::isunordered(A[I], B[I]))
+      return std::numeric_limits<double>::quiet_NaN();
+    // Equal elements count 0, equal infinities included.
+    if (A[I] != B[I])
+      Max = std::max(Max, std::fabs(A[I] - B[I]));
+  }
   return Max;
 }

@@ -114,7 +114,9 @@ inline double gemmFlops(std::size_t M, std::size_t N, std::size_t K) {
 /// Fills \p Data with deterministic pseudo-random values in [-1, 1).
 void fillDeterministic(std::span<double> Data, std::uint64_t Seed);
 
-/// Largest absolute elementwise difference between \p A and \p B.
+/// Largest absolute elementwise difference between \p A and \p B: NaN as
+/// soon as one pair is unordered (a NaN on either side), and 0 for equal
+/// elements, equal infinities included.
 double maxAbsDiff(std::span<const double> A, std::span<const double> B);
 
 } // namespace fupermod

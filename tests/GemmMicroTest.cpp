@@ -6,7 +6,9 @@
 // separately, in the same ascending-l order per element; banding
 // in gemmParallel never changes that order, so the parallel micro path is
 // bit-identical too; and the ISA is resolved once per process by CPUID
-// dispatch.
+// dispatch. gemmBlocked accumulated block by block equals one call over
+// the whole matrices, which MatMul's Verify relies on, and maxAbsDiff
+// reports NaN for any pair with a NaN in it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,6 +21,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <cstring>
 #include <limits>
@@ -117,6 +120,61 @@ TEST(GemmMicro, BitIdenticalToBlocked) {
       }
     }
   }
+}
+
+TEST(GemmMicro, BlockwiseAccumulationIsBitIdenticalToWholeMatrices) {
+  // What MatMul's Verify relies on: each C block accumulated from zero
+  // over its K-ascending block products is byte-equal to that block of
+  // one gemmBlocked over the assembled matrices, since every element
+  // still sums the same products in ascending l. Edges 72 and 96 exceed
+  // gemmBlocked's 64 tile, so a block's products span two tiles.
+  const std::size_t Blocks = 3;
+  for (std::size_t E : {8u, 48u, 72u, 96u}) {
+    const std::size_t NB = Blocks * E;
+    std::vector<double> A(NB * NB), B(NB * NB), Whole(NB * NB, 0.0);
+    fillDeterministic(A, 11 + E);
+    fillDeterministic(B, 12 + E);
+    gemmBlocked(NB, NB, NB, A, B, Whole);
+    // Block (Row, Col) of the NB x NB matrix \p M, copied out contiguously.
+    auto BlockOf = [&](const std::vector<double> &M, std::size_t Row,
+                       std::size_t Col) {
+      std::vector<double> Out(E * E);
+      for (std::size_t I = 0; I < E; ++I)
+        std::copy_n(M.begin() + static_cast<std::ptrdiff_t>(
+                                    (Row * E + I) * NB + Col * E),
+                    E, Out.begin() + static_cast<std::ptrdiff_t>(I * E));
+      return Out;
+    };
+    for (std::size_t Row = 0; Row < Blocks; ++Row)
+      for (std::size_t Col = 0; Col < Blocks; ++Col) {
+        std::vector<double> Block(E * E, 0.0);
+        for (std::size_t K = 0; K < Blocks; ++K)
+          gemmBlocked(E, E, E, BlockOf(A, Row, K), BlockOf(B, K, Col), Block);
+        EXPECT_TRUE(bytesEqual(Block, BlockOf(Whole, Row, Col)))
+            << "edge " << E << ", block (" << Row << ", " << Col << ")";
+      }
+  }
+}
+
+TEST(GemmMicro, MaxAbsDiffSeesEveryUnorderedPair) {
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  const double Inf = std::numeric_limits<double>::infinity();
+  auto Diff = [](std::vector<double> X, std::vector<double> Y) {
+    return maxAbsDiff(X, Y);
+  };
+  // A NaN on either side, even between equal neighbours, gives NaN.
+  EXPECT_TRUE(std::isnan(Diff({1.0, NaN, 2.0}, {1.0, 0.0, 2.0})));
+  EXPECT_TRUE(std::isnan(Diff({1.0, 0.0, 2.0}, {1.0, NaN, 2.0})));
+  EXPECT_TRUE(std::isnan(Diff({NaN}, {NaN})));
+  EXPECT_TRUE(std::isnan(Diff({0.5, NaN}, {0.0, 0.0})));
+  // Equal infinities and signed zeros count 0; a finite value against an
+  // infinity differs by infinity.
+  EXPECT_EQ(Diff({Inf}, {Inf}), 0.0);
+  EXPECT_EQ(Diff({-Inf}, {-Inf}), 0.0);
+  EXPECT_EQ(Diff({Inf}, {1.0}), Inf);
+  EXPECT_EQ(Diff({-0.0}, {0.0}), 0.0);
+  EXPECT_EQ(Diff({1.0, 3.0, -2.0}, {1.5, 3.0, 0.0}), 2.0);
+  EXPECT_EQ(Diff({}, {}), 0.0);
 }
 
 TEST(GemmMicro, ParallelBandingIsBitIdenticalToSerial) {

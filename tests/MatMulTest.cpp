@@ -149,6 +149,26 @@ TEST(ParallelMatMul, PerfbenchLayoutPinned) {
         << "run " << Run;
 }
 
+TEST(ParallelMatMul, VerifiesBlocksWiderThanTheReferenceTile) {
+  // 72-wide blocks exceed gemmBlocked's 64 tile, so each block product of
+  // Verify's block-by-block reference spans two tiles; its sums must still
+  // equal the product exactly. Rectangles of widths 4, 1 and 3 read their
+  // C blocks at three row strides.
+  Cluster Cl = makeUniformCluster(3, 100.0);
+  Cl.NoiseSigma = 0.0;
+  MatMulOptions O;
+  O.NBlocks = 4;
+  O.BlockSize = 72;
+  std::vector<GridRect> Rects = {
+      {0, 0, 4, 1, 0}, {0, 1, 1, 3, 1}, {1, 1, 3, 3, 2}};
+  O.Verify = false;
+  MatMulReport Off = runParallelMatMul(Cl, Rects, O);
+  O.Verify = true;
+  MatMulReport On = runParallelMatMul(Cl, Rects, O);
+  EXPECT_EQ(On.MaxError, 0.0);
+  EXPECT_EQ(On.ResultHash, Off.ResultHash);
+}
+
 TEST(ParallelMatMul, FourRankGridCorrect) {
   Cluster Cl = makeUniformCluster(4, 100.0);
   Cl.NoiseSigma = 0.0;
