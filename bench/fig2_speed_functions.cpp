@@ -56,21 +56,11 @@ void runSimulatedNetlib() {
     Akima.update(P);
   }
 
-  // The figure grid is ascending, so evaluate both models through the
-  // batched path (one forward segment walk instead of 40 binary searches).
-  std::vector<double> Sizes;
-  for (double D = 125.0; D <= 5000.0; D += 125.0)
-    Sizes.push_back(D);
-  std::vector<double> PWTimes(Sizes.size()), AkTimes(Sizes.size());
-  Piecewise.timesAt(Sizes, PWTimes);
-  Akima.timesAt(Sizes, AkTimes);
-
   Table T({"size", "true_gflops", "piecewise_gflops", "akima_gflops"});
-  for (std::size_t I = 0; I < Sizes.size(); ++I) {
-    double D = Sizes[I];
+  for (double D = 125.0; D <= 5000.0; D += 125.0) {
     double True = Dev.profile().speed(D) * UnitFlops / 1e9;
-    double PW = D / PWTimes[I] * UnitFlops / 1e9;
-    double Ak = D / AkTimes[I] * UnitFlops / 1e9;
+    double PW = D / Piecewise.timeAt(D) * UnitFlops / 1e9;
+    double Ak = D / Akima.timeAt(D) * UnitFlops / 1e9;
     T.addRow({Table::num(D, 0), Table::num(True, 3), Table::num(PW, 3),
               Table::num(Ak, 3)});
   }

@@ -2,43 +2,31 @@
 
 #include "apps/Jacobi.h"
 
+#include "blas/Gemm.h"
 #include "dist/PartitionedVector.h"
 #include "engine/Balance.h"
 #include "engine/Session.h"
 #include "mpp/Runtime.h"
+#include "solver/LinearAlgebra.h"
+#include "support/Random.h"
 
 #include <cassert>
 #include <cmath>
 
 using namespace fupermod;
 
-namespace {
-
-std::uint64_t mix(std::uint64_t Z) {
-  Z += 0x9e3779b97f4a7c15ull;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
-
-double unitFromHash(std::uint64_t H) {
-  return static_cast<double>(H >> 11) * (1.0 / 9007199254740992.0);
-}
-
-} // namespace
-
 double fupermod::jacobiMatrixEntry(int N, int Row, int Col) {
   if (Row == Col)
     return static_cast<double>(N);
-  std::uint64_t H = mix(static_cast<std::uint64_t>(Row) * 2654435761u +
-                        static_cast<std::uint64_t>(Col) + 17);
-  return unitFromHash(H) - 0.5;
+  SplitMix64 Rng(static_cast<std::uint64_t>(Row) * 2654435761u +
+                 static_cast<std::uint64_t>(Col) + 17);
+  return Rng.uniform() - 0.5;
 }
 
 double fupermod::jacobiRhsEntry(int N, int Row) {
-  std::uint64_t H = mix(static_cast<std::uint64_t>(N) * 31 +
-                        static_cast<std::uint64_t>(Row));
-  return 2.0 * unitFromHash(H) - 1.0;
+  SplitMix64 Rng(static_cast<std::uint64_t>(N) * 31 +
+                 static_cast<std::uint64_t>(Row));
+  return 2.0 * Rng.uniform() - 1.0;
 }
 
 JacobiReport fupermod::runJacobi(const Cluster &Platform,
@@ -166,10 +154,8 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
           C.allgathervRing(std::span<const double>(XNewLocal));
       assert(static_cast<int>(XNew.size()) == N &&
              "lost solution entries in allgather");
-      double Error = 0.0;
-      for (int I = 0; I < N; ++I)
-        Error = std::max(Error, std::fabs(XNew[static_cast<std::size_t>(I)] -
-                                          X[static_cast<std::size_t>(I)]));
+      // NaN once any entry is: a diverged iterate never converges.
+      double Error = maxAbsDiff(XNew, X);
       X = XNew;
       if (Me == 0)
         Stats[static_cast<std::size_t>(It)].Error = Error;
@@ -194,13 +180,15 @@ JacobiReport fupermod::runJacobi(const Cluster &Platform,
         if (Loop.context().isExcluded(Q))
           FailedRanks.push_back(Q);
       Solution = X;
+      std::vector<double> RowResidual(static_cast<std::size_t>(N));
       for (int Row = 0; Row < N; ++Row) {
         double Sum = -jacobiRhsEntry(N, Row);
         for (int Col = 0; Col < N; ++Col)
           Sum += jacobiMatrixEntry(N, Row, Col) *
                  X[static_cast<std::size_t>(Col)];
-        Residual = std::max(Residual, std::fabs(Sum));
+        RowResidual[static_cast<std::size_t>(Row)] = Sum;
       }
+      Residual = normInf(RowResidual);
     }
   };
 

@@ -7,6 +7,7 @@
 #include "engine/Balance.h"
 #include "engine/Session.h"
 #include "mpp/Runtime.h"
+#include "support/Random.h"
 
 #include <cassert>
 #include <cmath>
@@ -14,13 +15,6 @@
 using namespace fupermod;
 
 namespace {
-
-std::uint64_t mix(std::uint64_t Z) {
-  Z += 0x9e3779b97f4a7c15ull;
-  Z = (Z ^ (Z >> 30)) * 0xbf58476d1ce4e5b9ull;
-  Z = (Z ^ (Z >> 27)) * 0x94d049bb133111ebull;
-  return Z ^ (Z >> 31);
-}
 
 /// One serial sweep of the 5-point stencil over the whole grid.
 void serialSweep(std::vector<double> &U, int Rows, int Cols) {
@@ -45,9 +39,9 @@ double fupermod::stencilInitial(int Rows, int Cols, int Row, int Col) {
     return 0.0;
   if (Col == 0 || Col == Cols - 1)
     return 50.0;
-  std::uint64_t H = mix(static_cast<std::uint64_t>(Row) * 69069u +
-                        static_cast<std::uint64_t>(Col));
-  return static_cast<double>(H >> 11) * (1.0 / 9007199254740992.0) * 20.0;
+  SplitMix64 Rng(static_cast<std::uint64_t>(Row) * 69069u +
+                 static_cast<std::uint64_t>(Col));
+  return Rng.uniform() * 20.0;
 }
 
 StencilReport fupermod::runStencil(const Cluster &Platform,

@@ -2,6 +2,8 @@
 
 #include "core/Model.h"
 
+#include "solver/RootFinding.h"
+
 #include <algorithm>
 #include <cassert>
 #include <cmath>
@@ -9,12 +11,6 @@
 using namespace fupermod;
 
 Model::~Model() = default;
-
-void Model::timesAt(std::span<const double> Xs, std::span<double> Out) const {
-  assert(Xs.size() == Out.size() && "mismatched batch spans");
-  for (std::size_t I = 0; I < Xs.size(); ++I)
-    Out[I] = timeAt(Xs[I]);
-}
 
 bool Model::sameSize(double Known, double Units) {
   return std::fabs(Known - Units) <= 1e-9 * std::max(1.0, Units);
@@ -143,24 +139,11 @@ double Model::sizeForTime(double T) const {
   assert(fitted() && "model has no experimental points");
   if (T <= 0.0)
     return 0.0;
-  // Bracket a crossing of timeAt(x) = T by doubling, then bisect. timeAt
-  // is 0 at x = 0, so once timeAt(Hi) >= T a crossing exists in [0, Hi].
-  double Hi = std::max(1.0, Points.back().Units);
-  for (int I = 0; I < 200 && timeAt(Hi) < T; ++I)
-    Hi *= 2.0;
-  if (timeAt(Hi) < T)
-    return Hi; // Degenerate model (e.g. flat extrapolation); saturate.
-  double Lo = 0.0;
-  // Stop once a step would leave its end where it is: (Lo, Hi) is then a
-  // fixed point, and every remaining step of the 100 would repeat it.
-  for (int I = 0; I < 100; ++I) {
-    double Mid = 0.5 * (Lo + Hi);
-    double &End = timeAt(Mid) < T ? Lo : Hi;
-    if (End == Mid)
-      break;
-    End = Mid;
-  }
-  return 0.5 * (Lo + Hi);
+  // timeAt is 0 at x = 0, so once timeAt(Hi) >= T a crossing lies in
+  // [0, Hi]. A degenerate model (e.g. flat extrapolation) never gets
+  // there and saturates at the last doubled Hi.
+  return bracketAndBisect(std::max(1.0, Points.back().Units),
+                          [&](double X) { return timeAt(X) < T; });
 }
 
 //===----------------------------------------------------------------------===//
@@ -226,40 +209,6 @@ double PiecewiseModel::timeDerivative(double X) const {
   auto It = std::upper_bound(Xs.begin(), Xs.end(), X);
   std::size_t I = static_cast<std::size_t>(It - Xs.begin()) - 1;
   return (Ts[I + 1] - Ts[I]) / (Xs[I + 1] - Xs[I]);
-}
-
-void PiecewiseModel::timesAt(std::span<const double> Q,
-                             std::span<double> Out) const {
-  assert(Q.size() == Out.size() && "mismatched batch spans");
-  assert(fitted() && "model has no experimental points");
-  // Ascending batches walk the coarsened knots once; an out-of-order
-  // query falls back to the binary-searched scalar path.
-  std::size_t Seg = 0;
-  double Prev = -std::numeric_limits<double>::infinity();
-  for (std::size_t I = 0; I < Q.size(); ++I) {
-    double X = Q[I];
-    if (X < Prev) {
-      Out[I] = timeAt(X);
-      continue;
-    }
-    Prev = X;
-    if (X == 0.0) {
-      Out[I] = 0.0;
-      continue;
-    }
-    double T;
-    if (X <= Xs.front())
-      T = Ts.front() * X / Xs.front();
-    else if (X >= Xs.back())
-      T = Ts.back() * X / Xs.back();
-    else {
-      while (Seg + 2 < Xs.size() && Xs[Seg + 1] <= X)
-        ++Seg;
-      double Frac = (X - Xs[Seg]) / (Xs[Seg + 1] - Xs[Seg]);
-      T = Ts[Seg] + Frac * (Ts[Seg + 1] - Ts[Seg]);
-    }
-    Out[I] = std::max(T, 1e-300);
-  }
 }
 
 double PiecewiseModel::sizeForTime(double T) const {
@@ -346,16 +295,6 @@ void AkimaModel::refit() {
 }
 
 double AkimaModel::timeImpl(double X) const { return Spline.eval(X); }
-
-void AkimaModel::timesAt(std::span<const double> Q,
-                         std::span<double> Out) const {
-  assert(fitted() && "model has no experimental points");
-  Spline.evalMany(Q, Out);
-  // Apply timeAt()'s guards: exact zero at zero work, and clamp any
-  // spline undershoot at the data fringes.
-  for (std::size_t I = 0; I < Q.size(); ++I)
-    Out[I] = Q[I] == 0.0 ? 0.0 : std::max(Out[I], 1e-300);
-}
 
 double AkimaModel::timeDerivative(double X) const {
   assert(fitted() && "model has no experimental points");

@@ -110,17 +110,11 @@ public:
   virtual double timeDerivative(double X) const;
 
   /// Inverse of the time function: a size whose predicted time is \p T.
-  /// For monotone models this is exact; for non-monotone models a
-  /// bracketed search returns one crossing. Used by the geometric
-  /// partitioner (intersection of the speed function with a line through
-  /// the origin at slope 1/T).
+  /// For monotone models this is exact; for non-monotone models the
+  /// default bracketAndBisect() over timeAt() returns one crossing. Used
+  /// by the geometric partitioner (intersection of the speed function
+  /// with a line through the origin at slope 1/T).
   virtual double sizeForTime(double T) const;
-
-  /// Predicted times at many sizes at once (Out.size() == Xs.size()).
-  /// The default loops over timeAt(); spline-backed models override it to
-  /// reuse segment lookups across sorted query batches.
-  virtual void timesAt(std::span<const double> Xs,
-                       std::span<double> Out) const;
 
   /// Always 0: models keep no inverse-time cache. Kept only for
   /// perfbench's core.inverse_cache_* metrics, and removed together
@@ -175,8 +169,6 @@ public:
   const char *kind() const override { return "piecewise"; }
   double sizeForTime(double T) const override;
   double timeDerivative(double X) const override;
-  void timesAt(std::span<const double> Xs,
-               std::span<double> Out) const override;
 
   /// The coarsened knots actually used by the approximation (sizes and
   /// adjusted times); exposed for tests and the Fig. 2(a) bench.
@@ -223,8 +215,6 @@ class AkimaModel : public Model {
 public:
   const char *kind() const override { return "akima"; }
   double timeDerivative(double X) const override;
-  void timesAt(std::span<const double> Xs,
-               std::span<double> Out) const override;
 
 protected:
   double timeImpl(double X) const override;

@@ -3,6 +3,7 @@
 #include "core/Partitioners.h"
 
 #include "solver/NewtonSolver.h"
+#include "solver/RootFinding.h"
 
 #include <cassert>
 #include <cmath>
@@ -51,11 +52,11 @@ bool capacitySufficient(std::span<const double> Caps, std::int64_t Total) {
 }
 
 /// Real-valued geometric solution: the common completion time Tau with
-/// sum_i min(t_i^{-1}(Tau), cap_i) = Total, and the corresponding shares.
-/// Shares are clipped to each device's feasibility cap, so a device never
-/// receives sizes it cannot execute.
-bool solveGeometric(double Total, std::span<Model *const> Models,
-                    std::vector<double> &Shares, double &Tau) {
+/// sum_i min(t_i^{-1}(Tau), cap_i) = Total, returned, and the
+/// corresponding shares. Shares are clipped to each device's feasibility
+/// cap, so a device never receives sizes it cannot execute.
+double solveGeometric(double Total, std::span<Model *const> Models,
+                      std::vector<double> &Shares) {
   std::size_t P = Models.size();
   std::vector<double> Caps = feasibleCaps(Models);
   auto ShareAt = [&](std::size_t I, double T) {
@@ -71,43 +72,18 @@ bool solveGeometric(double Total, std::span<Model *const> Models,
     return Sum;
   };
 
-  // Bracket the common time: Lo = 0 allocates nothing; grow Hi until the
-  // processes would absorb the whole problem.
-  double Lo = 0.0;
+  // Tau = 0 allocates nothing; the search grows Tau until the processes
+  // would absorb the whole problem. On a capacity-saturated platform it
+  // never gets there, and every device takes all it can hold at the
+  // last Tau (callers verified aggregate capacity, so this still covers
+  // Total up to rounding).
   double Hi = Models[0]->timeAt(std::max(Total / static_cast<double>(P), 1.0));
-  Hi = std::max(Hi, 1e-9);
-  bool Bracketed = false;
-  for (int I = 0; I < 200; ++I) {
-    if (SumAt(Hi) >= Total) {
-      Bracketed = true;
-      break;
-    }
-    Hi *= 2.0;
-  }
+  double Tau = bracketAndBisect(std::max(Hi, 1e-9),
+                                [&](double T) { return SumAt(T) < Total; });
   Shares.resize(P);
-  if (!Bracketed) {
-    // Capacity-saturated platform: every device takes all it can hold
-    // (callers verified aggregate capacity, so this still covers Total
-    // up to rounding).
-    for (std::size_t I = 0; I < P; ++I)
-      Shares[I] = ShareAt(I, Hi);
-    Tau = Hi;
-    return true;
-  }
-
-  // Same fixed-point exit as Model::sizeForTime: once a step would leave
-  // its end unmoved, the remaining steps cannot change Tau.
-  for (int I = 0; I < 100; ++I) {
-    double Mid = 0.5 * (Lo + Hi);
-    double &End = SumAt(Mid) < Total ? Lo : Hi;
-    if (End == Mid)
-      break;
-    End = Mid;
-  }
-  Tau = 0.5 * (Lo + Hi);
   for (std::size_t I = 0; I < P; ++I)
     Shares[I] = ShareAt(I, Tau);
-  return true;
+  return Tau;
 }
 
 /// Newton refinement half of the numerical partitioner: damped Newton on
@@ -214,9 +190,7 @@ bool fupermod::partitionGeometric(std::int64_t Total,
     return false;
 
   std::vector<double> Shares;
-  double Tau = 0.0;
-  if (!solveGeometric(static_cast<double>(Total), Models, Shares, Tau))
-    return false;
+  solveGeometric(static_cast<double>(Total), Models, Shares);
   std::vector<std::int64_t> Units = roundSharesCapped(Shares, Total, Caps);
   for (std::size_t I = 0; I < P; ++I)
     Out.Parts[I].Units = Units[I];
@@ -245,9 +219,7 @@ bool fupermod::partitionNumerical(std::int64_t Total,
   // Initial guess: the geometric solution (always available through the
   // generic sizeForTime search, even on non-monotone splines).
   std::vector<double> Shares;
-  double Tau = 0.0;
-  if (!solveGeometric(static_cast<double>(Total), Models, Shares, Tau))
-    return false;
+  double Tau = solveGeometric(static_cast<double>(Total), Models, Shares);
   double TimeScale = std::max(Tau, 1e-9);
   double D = static_cast<double>(Total);
 

@@ -5,7 +5,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <limits>
 
 using namespace fupermod;
 
@@ -83,10 +82,7 @@ double AkimaSpline::eval(double X) const {
     return Ys.back() + Tangents.back() * (X - Xs.back());
   }
 
-  return evalSegment(segmentIndex(X), X);
-}
-
-double AkimaSpline::evalSegment(std::size_t I, double X) const {
+  std::size_t I = segmentIndex(X);
   double H = Xs[I + 1] - Xs[I];
   double T = (X - Xs[I]) / H;
   double T2 = T * T;
@@ -98,32 +94,6 @@ double AkimaSpline::evalSegment(std::size_t I, double X) const {
   double H11 = T3 - T2;
   return H00 * Ys[I] + H10 * H * Tangents[I] + H01 * Ys[I + 1] +
          H11 * H * Tangents[I + 1];
-}
-
-void AkimaSpline::evalMany(std::span<const double> Q,
-                           std::span<double> Out) const {
-  assert(Q.size() == Out.size() && "mismatched batch spans");
-  assert(!Xs.empty() && "interpolator not fitted");
-  if (Xs.size() == 1) {
-    std::fill(Out.begin(), Out.end(), Ys.front());
-    return;
-  }
-  // Ascending batches walk the knot array once; out-of-order or
-  // out-of-range queries take the scalar path (which also applies the
-  // extrapolation policy).
-  std::size_t Seg = 0;
-  double Prev = -std::numeric_limits<double>::infinity();
-  for (std::size_t I = 0; I < Q.size(); ++I) {
-    double X = Q[I];
-    if (X < Prev || X < Xs.front() || X > Xs.back()) {
-      Out[I] = eval(X);
-      continue;
-    }
-    Prev = X;
-    while (Seg + 2 < Xs.size() && Xs[Seg + 1] <= X)
-      ++Seg;
-    Out[I] = evalSegment(Seg, X);
-  }
 }
 
 double AkimaSpline::derivative(double X) const {

@@ -38,8 +38,6 @@ public:
   void fit(std::span<const double> Xs, std::span<const double> Ys,
            Extrapolation Policy) override;
   double eval(double X) const override;
-  void evalMany(std::span<const double> Xs,
-                std::span<double> Out) const override;
   double derivative(double X) const override;
   std::size_t size() const override { return Xs.size(); }
 
@@ -52,7 +50,6 @@ public:
 
 private:
   std::size_t segmentIndex(double X) const;
-  double evalSegment(std::size_t I, double X) const;
   void computeTangents();
 
   std::vector<double> Xs;

@@ -48,14 +48,6 @@ public:
   /// Value of the interpolant at \p X.
   virtual double eval(double X) const = 0;
 
-  /// Values of the interpolant at many points (Out.size() == Xs.size()).
-  /// Equivalent to calling eval() per element; implementations accelerate
-  /// ascending query batches by walking segments forward instead of
-  /// binary-searching every point. The partitioners and benches evaluate
-  /// sorted size grids, which is exactly this shape.
-  virtual void evalMany(std::span<const double> Xs,
-                        std::span<double> Out) const;
-
   /// First derivative of the interpolant at \p X. At knots, the derivative
   /// of the right-hand segment is reported (left-hand at the last knot).
   virtual double derivative(double X) const = 0;

@@ -4,18 +4,10 @@
 
 #include <algorithm>
 #include <cassert>
-#include <limits>
 
 using namespace fupermod;
 
 Interpolator::~Interpolator() = default;
-
-void Interpolator::evalMany(std::span<const double> Xs,
-                            std::span<double> Out) const {
-  assert(Xs.size() == Out.size() && "mismatched batch spans");
-  for (std::size_t I = 0; I < Xs.size(); ++I)
-    Out[I] = eval(Xs[I]);
-}
 
 bool fupermod::isStrictlyIncreasing(std::span<const double> Xs) {
   for (std::size_t I = 1; I < Xs.size(); ++I)
@@ -65,36 +57,6 @@ double PiecewiseLinear::eval(double X) const {
   std::size_t I = segmentIndex(X);
   double Slope = (Ys[I + 1] - Ys[I]) / (Xs[I + 1] - Xs[I]);
   return Ys[I] + Slope * (X - Xs[I]);
-}
-
-void PiecewiseLinear::evalMany(std::span<const double> Q,
-                               std::span<double> Out) const {
-  assert(Q.size() == Out.size() && "mismatched batch spans");
-  assert(!Xs.empty() && "interpolator not fitted");
-  if (Xs.size() == 1) {
-    std::fill(Out.begin(), Out.end(), Ys.front());
-    return;
-  }
-  // One forward walk over the knots covers an ascending batch; a query
-  // that breaks the order falls back to the binary-searched scalar path.
-  std::size_t Seg = 0;
-  double Prev = -std::numeric_limits<double>::infinity();
-  for (std::size_t I = 0; I < Q.size(); ++I) {
-    double X = Q[I];
-    if (X < Prev) {
-      Out[I] = eval(X);
-      continue;
-    }
-    Prev = X;
-    if (Policy == Extrapolation::Clamp && (X <= Xs.front() || X >= Xs.back())) {
-      Out[I] = X <= Xs.front() ? Ys.front() : Ys.back();
-      continue;
-    }
-    while (Seg + 2 < Xs.size() && Xs[Seg + 1] <= X)
-      ++Seg;
-    double Slope = (Ys[Seg + 1] - Ys[Seg]) / (Xs[Seg + 1] - Xs[Seg]);
-    Out[I] = Ys[Seg] + Slope * (X - Xs[Seg]);
-  }
 }
 
 double PiecewiseLinear::derivative(double X) const {

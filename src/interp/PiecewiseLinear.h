@@ -29,8 +29,6 @@ public:
   void fit(std::span<const double> Xs, std::span<const double> Ys,
            Extrapolation Policy) override;
   double eval(double X) const override;
-  void evalMany(std::span<const double> Xs,
-                std::span<double> Out) const override;
   double derivative(double X) const override;
   std::size_t size() const override { return Xs.size(); }
 

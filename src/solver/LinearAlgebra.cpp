@@ -2,8 +2,10 @@
 
 #include "solver/LinearAlgebra.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cmath>
+#include <limits>
 
 using namespace fupermod;
 
@@ -65,7 +67,11 @@ double fupermod::norm2(std::span<const double> V) {
 
 double fupermod::normInf(std::span<const double> V) {
   double Max = 0.0;
-  for (double E : V)
+  for (double E : V) {
+    // std::max(Max, NaN) is Max, which would hide a NaN element.
+    if (std::isnan(E))
+      return std::numeric_limits<double>::quiet_NaN();
     Max = std::max(Max, std::fabs(E));
+  }
   return Max;
 }

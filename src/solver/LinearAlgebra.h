@@ -31,7 +31,7 @@ std::optional<std::vector<double>> luSolve(std::vector<double> A,
 /// Euclidean norm of \p V.
 double norm2(std::span<const double> V);
 
-/// Infinity norm of \p V.
+/// Infinity norm of \p V; NaN when any element of \p V is NaN.
 double normInf(std::span<const double> V);
 
 } // namespace fupermod

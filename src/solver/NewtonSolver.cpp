@@ -11,6 +11,13 @@ using namespace fupermod;
 
 namespace {
 
+/// A step no longer than this (infinity norm) ends the iteration.
+constexpr double MinStep = 1e-12;
+/// The line search shrinks a rejected step by this factor...
+constexpr double StepShrink = 0.5;
+/// ...at most this many times per iteration.
+constexpr int MaxShrinks = 30;
+
 void clampToBounds(std::vector<double> &X, const NewtonOptions &Options) {
   if (!Options.LowerBounds.empty()) {
     assert(Options.LowerBounds.size() == X.size() && "bad lower bounds");
@@ -85,7 +92,7 @@ NewtonResult fupermod::solveNewton(const VectorFunction &F,
     // Backtracking line search on the Euclidean residual norm.
     double Lambda = 1.0;
     bool Improved = false;
-    for (int BT = 0; BT <= Options.MaxBacktracks; ++BT) {
+    for (int BT = 0; BT <= MaxShrinks; ++BT) {
       for (std::size_t I = 0; I < N; ++I)
         Trial[I] = Result.X[I] + Lambda * (*Step)[I];
       clampToBounds(Trial, Options);
@@ -95,7 +102,7 @@ NewtonResult fupermod::solveNewton(const VectorFunction &F,
         Improved = true;
         break;
       }
-      Lambda *= Options.Backtrack;
+      Lambda *= StepShrink;
     }
     if (!Improved)
       return Result; // Stalled: no descent direction found.
@@ -106,7 +113,7 @@ NewtonResult fupermod::solveNewton(const VectorFunction &F,
     Result.X = Trial;
     FX = FTrial;
     ResNorm = norm2(FX);
-    if (StepSize <= Options.StepTolerance) {
+    if (StepSize <= MinStep) {
       Result.ResidualNorm = normInf(FX);
       Result.Converged = Result.ResidualNorm <= Options.ResidualTolerance ||
                          Result.ResidualNorm <= 1e-6;

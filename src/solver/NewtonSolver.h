@@ -34,14 +34,8 @@ using JacobianFunction =
 struct NewtonOptions {
   /// Stop when the infinity norm of the residual drops below this.
   double ResidualTolerance = 1e-9;
-  /// Stop (as converged) when the step becomes smaller than this.
-  double StepTolerance = 1e-12;
   /// Iteration cap.
   int MaxIterations = 100;
-  /// Backtracking line-search shrink factor in (0, 1).
-  double Backtrack = 0.5;
-  /// Maximum number of backtracking halvings per iteration.
-  int MaxBacktracks = 30;
   /// Optional elementwise lower bounds (empty = unbounded).
   std::vector<double> LowerBounds;
   /// Optional elementwise upper bounds (empty = unbounded).
@@ -63,9 +57,11 @@ struct NewtonResult {
 /// Solves F(X) = 0 starting from \p X0 with damped Newton iteration.
 ///
 /// When \p Jacobian is null, a forward-difference Jacobian is used. Each
-/// Newton step is backtracked until the Euclidean residual norm decreases;
-/// iterates are clamped to the option bounds. The solver never throws; on
-/// stall it reports Converged = false with the best iterate found.
+/// Newton step is halved (at most 30 times) until the Euclidean residual
+/// norm decreases; iterates are clamped to the option bounds. A step no
+/// longer than 1e-12 ends the iteration. The solver never throws; on
+/// stall it reports Converged = false with the best iterate found. A NaN
+/// residual never counts as converged.
 NewtonResult solveNewton(const VectorFunction &F, std::span<const double> X0,
                          const NewtonOptions &Options = NewtonOptions(),
                          const JacobianFunction &Jacobian = nullptr);

@@ -1,47 +1,54 @@
-//===-- solver/RootFinding.h - Scalar root finding --------------*- C++ -*-===//
+//===-- solver/RootFinding.h - Bracket-and-bisect search --------*- C++ -*-===//
 //
 // Part of the FuPerMod reproduction. Distributed under the MIT license.
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Scalar root finding (bisection and Brent). The geometric partitioner's
-/// slope search and the per-process intersection searches use these.
+/// The one scalar search of the geometric partitioner (Lastovetsky and
+/// Reddy's algorithm): it bisects on the common completion time tau, and
+/// for each device it bisects on the size x until t(x) = tau. Both levels
+/// are bracketAndBisect(): solveGeometric() on tau, Model::sizeForTime()
+/// on x.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef FUPERMOD_SOLVER_ROOTFINDING_H
 #define FUPERMOD_SOLVER_ROOTFINDING_H
 
-#include <functional>
-#include <optional>
-
 namespace fupermod {
 
-/// Options controlling scalar root searches.
-struct RootOptions {
-  /// Absolute tolerance on the bracket width.
-  double XTolerance = 1e-12;
-  /// Absolute tolerance on |f(x)|.
-  double FTolerance = 0.0;
-  /// Iteration cap.
-  int MaxIterations = 200;
-};
-
-/// Finds a root of \p F in [\p Lo, \p Hi] by bisection.
+/// Finds where \p Below, true below some point of [0, inf) and false
+/// above it, turns false. Doubles \p Hi (> 0) up to 200 times while
+/// Below(Hi) holds; if it still holds, nothing brackets the crossing and
+/// the last Hi is returned. Otherwise bisects [0, Hi], moving the end on
+/// Below(Mid)'s side to Mid, and returns the final midpoint.
 ///
-/// Requires F(Lo) and F(Hi) to have opposite signs (a zero at either end is
-/// returned immediately). Returns std::nullopt if the bracket is invalid.
-std::optional<double> bisect(const std::function<double(double)> &F,
-                             double Lo, double Hi,
-                             const RootOptions &Options = RootOptions());
-
-/// Finds a root of \p F in [\p Lo, \p Hi] with Brent's method (inverse
-/// quadratic interpolation guarded by bisection). Same bracket contract as
-/// bisect(), typically far fewer function evaluations.
-std::optional<double> brent(const std::function<double(double)> &F, double Lo,
-                            double Hi,
-                            const RootOptions &Options = RootOptions());
+/// The bisection stops when the end a step would move already equals
+/// Mid: (Lo, Hi) can then never change again, so the midpoint is the
+/// same double that all 100 steps return. The test is on the end that
+/// moves, so it holds without relying on Below(Lo) && !Below(Hi).
+///
+/// The predicate is a template parameter, so a nested search (a
+/// predicate that runs its own search) stays inlined.
+template <typename Pred> double bracketAndBisect(double Hi, Pred Below) {
+  bool Bracketed = !Below(Hi);
+  for (int I = 0; I < 200 && !Bracketed; ++I) {
+    Hi *= 2.0;
+    Bracketed = !Below(Hi);
+  }
+  if (!Bracketed)
+    return Hi;
+  double Lo = 0.0;
+  for (int I = 0; I < 100; ++I) {
+    double Mid = 0.5 * (Lo + Hi);
+    double &End = Below(Mid) ? Lo : Hi;
+    if (End == Mid)
+      break;
+    End = Mid;
+  }
+  return 0.5 * (Lo + Hi);
+}
 
 } // namespace fupermod
 

@@ -190,14 +190,21 @@ foreach(Bad "--workers;-2;--workers must be non-negative"
                         "(rc ${Rc}):\n${Err}")
   endif()
 endforeach()
-execute_process(COMMAND ${PARTITIONER} --total 100 --imbalance-threshold nan
-                ${WORKDIR}/dev0.fpm RESULT_VARIABLE Rc
-                OUTPUT_QUIET ERROR_VARIABLE Err)
-if(NOT Rc EQUAL 2 OR NOT Err MATCHES
-   "error: option --imbalance-threshold: expected a finite number")
-  message(FATAL_ERROR "partitioner accepted --imbalance-threshold nan "
-                      "(rc ${Rc}):\n${Err}")
-endif()
+# The partitioner runs no balanced loop, so it takes no equalization
+# flags: each is an unknown option (OptionsTest covers non-finite
+# checkedDouble input).
+foreach(Bad "--equalize;arbitrated" "--imbalance-threshold;nan"
+            "--cooldown;7")
+  list(GET Bad 0 Flag)
+  list(GET Bad 1 Value)
+  execute_process(COMMAND ${PARTITIONER} --total 100 ${Flag} ${Value}
+                  ${WORKDIR}/dev0.fpm RESULT_VARIABLE Rc
+                  OUTPUT_QUIET ERROR_VARIABLE Err)
+  if(NOT Rc EQUAL 2 OR NOT Err MATCHES "error: unknown option ${Flag}\n")
+    message(FATAL_ERROR "partitioner accepted ${Flag} ${Value} "
+                        "(rc ${Rc}):\n${Err}")
+  endif()
+endforeach()
 execute_process(COMMAND ${BUILDER} --points ten RESULT_VARIABLE Rc
                 OUTPUT_QUIET ERROR_VARIABLE Err)
 if(Rc EQUAL 0 OR NOT Err MATCHES "expected an integer")

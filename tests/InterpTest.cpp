@@ -265,42 +265,3 @@ TEST(CubicSpline, OscillatesMoreThanAkimaAroundOutlier) {
   EXPECT_GT(MaxCubic, 5.0 * std::max(MaxAkima, 1e-12));
   EXPECT_LT(MaxAkima, 1e-9); // Akima: strictly local influence.
 }
-
-// evalMany must agree bit-for-bit with per-point eval: the batched path
-// only changes how the segment is found, never the arithmetic inside it.
-TEST(EvalMany, MatchesScalarEvalOnAscendingBatch) {
-  PiecewiseLinear PL(XS, YS);
-  AkimaSpline Ak(XS, YS);
-  std::vector<double> Q;
-  for (double X = -1.0; X <= 9.0; X += 0.125)
-    Q.push_back(X); // Includes both extrapolation sides.
-  std::vector<double> Out(Q.size());
-  PL.evalMany(Q, Out);
-  for (std::size_t I = 0; I < Q.size(); ++I)
-    EXPECT_EQ(Out[I], PL.eval(Q[I])) << "piecewise at " << Q[I];
-  Ak.evalMany(Q, Out);
-  for (std::size_t I = 0; I < Q.size(); ++I)
-    EXPECT_EQ(Out[I], Ak.eval(Q[I])) << "akima at " << Q[I];
-}
-
-TEST(EvalMany, OutOfOrderBatchFallsBackToScalar) {
-  PiecewiseLinear PL(XS, YS);
-  AkimaSpline Ak(XS, YS);
-  const std::vector<double> Q = {5.0, 0.5, 7.5, 3.0, 3.0, -2.0, 9.5};
-  std::vector<double> Out(Q.size());
-  PL.evalMany(Q, Out);
-  for (std::size_t I = 0; I < Q.size(); ++I)
-    EXPECT_EQ(Out[I], PL.eval(Q[I])) << "piecewise at " << Q[I];
-  Ak.evalMany(Q, Out);
-  for (std::size_t I = 0; I < Q.size(); ++I)
-    EXPECT_EQ(Out[I], Ak.eval(Q[I])) << "akima at " << Q[I];
-}
-
-TEST(EvalMany, EmptyAndSingletonBatches) {
-  PiecewiseLinear PL(XS, YS);
-  std::vector<double> None;
-  PL.evalMany(None, None); // Must not touch memory.
-  std::vector<double> One = {2.5}, Out(1);
-  PL.evalMany(One, Out);
-  EXPECT_EQ(Out[0], PL.eval(2.5));
-}

@@ -434,8 +434,7 @@ const std::vector<std::string> &toolKeys() {
       "micro",
       // partitioner
       "total", "algorithm", "explain", "allow-degraded", "stats", "serve",
-      "workers", "queue", "deadline-ms", "equalize", "imbalance-threshold",
-      "cooldown"};
+      "workers", "queue", "deadline-ms"};
   return Keys;
 }
 

@@ -3,9 +3,12 @@
 #include "core/Partitioners.h"
 
 #include "sim/Cluster.h"
+#include "support/Hash.h"
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
 #include <memory>
 
 using namespace fupermod;
@@ -42,6 +45,14 @@ std::vector<Model *> ptrs(std::vector<std::unique_ptr<Model>> &Models) {
   for (auto &M : Models)
     Out.push_back(M.get());
   return Out;
+}
+
+/// Folds one part's units and the bits of its predicted time into \p H.
+std::uint64_t hashPart(std::uint64_t H, const Part &P) {
+  const std::uint64_t Fields[2] = {
+      static_cast<std::uint64_t>(P.Units),
+      std::bit_cast<std::uint64_t>(P.PredictedTime)};
+  return fnv1a(std::as_bytes(std::span(Fields)), H);
 }
 
 } // namespace
@@ -248,3 +259,40 @@ TEST_P(BruteForceTest, MatchesExhaustiveOptimum) {
 
 INSTANTIATE_TEST_SUITE_P(Totals, BruteForceTest,
                          ::testing::Values(50, 200, 1000, 3000));
+
+// Pins the common-time search bit for bit: every part of the geometric
+// and numerical answers over 50 seeded platforms, on piecewise and Akima
+// models, at totals whose per-device shares lie inside, at the edge of
+// and far beyond the measured sizes. The numerical partitioner starts
+// Newton from the geometric shares and its time scale is tau, so both
+// depend on how tau is bracketed and bisected.
+TEST(AllPartitioners, CommonTimeSearchPinned) {
+  const double MaxSize = 3000.0;
+  std::uint64_t H = Fnv1aBasis;
+  int Solves = 0;
+  for (std::uint64_t Variant = 1; Variant <= 50; ++Variant) {
+    int P = 2 + static_cast<int>(Variant % 7);
+    Cluster C = makeHeterogeneousCluster(P, Variant);
+    for (const char *Kind : {"piecewise", "akima"}) {
+      auto Models = buildModels(Kind, C.Devices, MaxSize, 16);
+      auto Ptrs = ptrs(Models);
+      for (double PerDevice : {150.0, 1100.0, 2900.0, 9000.0}) {
+        auto Total = static_cast<std::int64_t>(PerDevice * P) +
+                     static_cast<std::int64_t>(Variant);
+        for (const Partitioner &Solve :
+             {Partitioner(partitionGeometric),
+              Partitioner(partitionNumerical)}) {
+          Dist Out;
+          ASSERT_TRUE(Solve(Total, Ptrs, Out))
+              << "variant " << Variant << " " << Kind << " total " << Total;
+          ASSERT_EQ(Out.sum(), Total);
+          for (const Part &Pt : Out.Parts)
+            H = hashPart(H, Pt);
+          ++Solves;
+        }
+      }
+    }
+  }
+  EXPECT_EQ(Solves, 800);
+  EXPECT_EQ(H, 0xcaa5f1793ad44285ull) << std::hex << H;
+}

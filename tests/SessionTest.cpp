@@ -531,12 +531,6 @@ public:
     ++Calls;
     return PiecewiseModel::timeDerivative(X);
   }
-  void timesAt(std::span<const double> Xs,
-               std::span<double> Out) const override {
-    ++Calls;
-    PiecewiseModel::timesAt(Xs, Out);
-  }
-
   mutable std::uint64_t Calls = 0;
 
 protected:

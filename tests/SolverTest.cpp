@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
 #include <vector>
 
 using namespace fupermod;
@@ -73,49 +74,59 @@ TEST(Norms, KnownValues) {
   EXPECT_DOUBLE_EQ(normInf(V), 4.0);
 }
 
-TEST(Bisect, FindsSqrtTwo) {
-  auto F = [](double X) { return X * X - 2.0; };
-  auto R = bisect(F, 0.0, 2.0);
-  ASSERT_TRUE(R.has_value());
-  EXPECT_NEAR(*R, std::sqrt(2.0), 1e-10);
+TEST(Norms, NaNElementMakesTheNormNaN) {
+  // std::max(Max, NaN) keeps Max, so a plain fold would read 2 and 0.
+  const double NaN = std::numeric_limits<double>::quiet_NaN();
+  std::vector<double> Mixed = {1.0, NaN, 2.0};
+  std::vector<double> Only = {NaN};
+  EXPECT_TRUE(std::isnan(normInf(Mixed)));
+  EXPECT_TRUE(std::isnan(normInf(Only)));
 }
 
-TEST(Bisect, EndpointRootReturnedImmediately) {
-  auto F = [](double X) { return X - 1.0; };
-  auto R = bisect(F, 1.0, 5.0);
-  ASSERT_TRUE(R.has_value());
-  EXPECT_DOUBLE_EQ(*R, 1.0);
+/// bracketAndBisect without the fixed-point exit: all 100 steps.
+template <typename Pred> double fullBisection(double Hi, Pred Below) {
+  for (int I = 0; I < 200 && Below(Hi); ++I)
+    Hi *= 2.0;
+  if (Below(Hi))
+    return Hi;
+  double Lo = 0.0;
+  for (int I = 0; I < 100; ++I) {
+    double Mid = 0.5 * (Lo + Hi);
+    (Below(Mid) ? Lo : Hi) = Mid;
+  }
+  return 0.5 * (Lo + Hi);
 }
 
-TEST(Bisect, RejectsInvalidBracket) {
-  auto F = [](double X) { return X * X + 1.0; };
-  EXPECT_FALSE(bisect(F, -1.0, 1.0).has_value());
-}
-
-TEST(Brent, FindsRootFasterThanBisection) {
-  int EvalsBrent = 0, EvalsBisect = 0;
-  auto FB = [&](double X) {
-    ++EvalsBrent;
-    return std::cos(X) - X;
+TEST(BracketAndBisect, FindsSqrtTwoAtItsFixedPoint) {
+  int Evals = 0;
+  auto Below = [&](double X) {
+    ++Evals;
+    return X * X < 2.0;
   };
-  auto FBi = [&](double X) {
-    ++EvalsBisect;
-    return std::cos(X) - X;
-  };
-  RootOptions Opt;
-  Opt.XTolerance = 1e-12;
-  auto RB = brent(FB, 0.0, 1.0, Opt);
-  auto RBi = bisect(FBi, 0.0, 1.0, Opt);
-  ASSERT_TRUE(RB.has_value());
-  ASSERT_TRUE(RBi.has_value());
-  EXPECT_NEAR(*RB, 0.7390851332151607, 1e-9);
-  EXPECT_NEAR(*RB, *RBi, 1e-9);
-  EXPECT_LT(EvalsBrent, EvalsBisect);
+  double R = bracketAndBisect(1e-3, Below);
+  EXPECT_DOUBLE_EQ(R, std::sqrt(2.0));
+  // Eleven doublings reach 2.048; the bisection then stops once the
+  // bracket is two adjacent doubles, long before its 100 steps.
+  EXPECT_LT(Evals, 12 + 60);
+  EXPECT_EQ(R, fullBisection(1e-3, [](double X) { return X * X < 2.0; }));
 }
 
-TEST(Brent, RejectsInvalidBracket) {
-  auto F = [](double X) { return X * X + 0.5; };
-  EXPECT_FALSE(brent(F, -2.0, 2.0).has_value());
+TEST(BracketAndBisect, SameDoubleAsTheFullLoop) {
+  for (double Target : {1e-9, 0.3, 1.0, 7.25, 1e6, 1e15}) {
+    auto Below = [Target](double X) { return std::cbrt(X) < Target; };
+    EXPECT_EQ(bracketAndBisect(1.0, Below), fullBisection(1.0, Below))
+        << "target " << Target;
+  }
+}
+
+TEST(BracketAndBisect, TestsHiAfterTheLastDoubling) {
+  // Nothing brackets a predicate that always holds: the last Hi is 2^200.
+  EXPECT_EQ(bracketAndBisect(1.0, [](double) { return true; }), 0x1p200);
+  // Only the test after the 200th doubling brackets a crossing between
+  // 2^199 and 2^200.
+  EXPECT_DOUBLE_EQ(
+      bracketAndBisect(1.0, [](double X) { return X < 0x1.8p199; }),
+      0x1.8p199);
 }
 
 TEST(Newton, ScalarSquareRoot) {
@@ -184,6 +195,17 @@ TEST(Newton, ReportsStallOnSingularJacobian) {
   std::vector<double> X0 = {0.0};
   NewtonResult Res = solveNewton(F, X0);
   EXPECT_FALSE(Res.Converged);
+}
+
+TEST(Newton, NaNResidualNeverConverges) {
+  VectorFunction F = [](std::span<const double> X, std::span<double> R) {
+    (void)X;
+    R[0] = std::numeric_limits<double>::quiet_NaN();
+  };
+  std::vector<double> X0 = {1.0};
+  NewtonResult Res = solveNewton(F, X0);
+  EXPECT_FALSE(Res.Converged);
+  EXPECT_TRUE(std::isnan(Res.ResidualNorm));
 }
 
 TEST(Newton, AlreadyConvergedAtStart) {

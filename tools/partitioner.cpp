@@ -80,8 +80,7 @@ int usage(const char *Program) {
                "usage: %s --total D [--algorithm "
                "constant|geometric|numerical] [--output FILE] "
                "[--explain] [--allow-degraded] [--stats] "
-               "[--equalize POLICY] [--imbalance-threshold X] "
-               "[--cooldown N] model0.fpm model1.fpm ...\n"
+               "model0.fpm model1.fpm ...\n"
                "       %s --serve REQFILE|- [--algorithm A] "
                "[--allow-degraded] [--stats] [--workers N] [--queue N] "
                "[--deadline-ms N] model0.fpm model1.fpm ...\n",
@@ -127,14 +126,13 @@ int main(int Argc, char **Argv) {
   for (const std::string &Key :
        Opts.unknownKeys({"total", "algorithm", "output", "explain",
                          "allow-degraded", "stats", "serve", "workers",
-                         "queue", "deadline-ms", "equalize",
-                         "imbalance-threshold", "cooldown"})) {
+                         "queue", "deadline-ms"})) {
     std::fprintf(stderr, "error: unknown option --%s\n", Key.c_str());
     return usage(Argv[0]);
   }
 
-  // Range checks come before any narrowing: --cooldown and --workers
-  // become ints, and --deadline-ms becomes std::chrono::nanoseconds.
+  // Range checks come before any narrowing: --workers becomes an int,
+  // and --deadline-ms becomes std::chrono::nanoseconds.
   constexpr std::int64_t IntMax = std::numeric_limits<int>::max();
   constexpr std::int64_t DeadlineMaxMs =
       std::chrono::duration_cast<std::chrono::milliseconds>(
@@ -146,23 +144,11 @@ int main(int Argc, char **Argv) {
       "queue", 256, 1, std::numeric_limits<std::int64_t>::max());
   Result<std::int64_t> DeadlineR =
       Opts.checkedInt("deadline-ms", 0, 0, DeadlineMaxMs);
-  Result<std::int64_t> CooldownR = Opts.checkedInt("cooldown", 0, 0, IntMax);
-  for (const auto *R :
-       {&TotalR, &WorkersR, &QueueR, &DeadlineR, &CooldownR})
+  for (const auto *R : {&TotalR, &WorkersR, &QueueR, &DeadlineR})
     if (!*R) {
       std::fprintf(stderr, "error: %s\n", R->error().c_str());
       return 2;
     }
-  Result<double> ThresholdR = Opts.checkedDouble("imbalance-threshold", 0.25);
-  if (!ThresholdR) {
-    std::fprintf(stderr, "error: %s\n", ThresholdR.error().c_str());
-    return 2;
-  }
-  if (ThresholdR.value() < 0.0) {
-    std::fprintf(stderr,
-                 "error: --imbalance-threshold must be non-negative\n");
-    return 2;
-  }
   std::int64_t Total = TotalR.value();
   std::string Algorithm = Opts.get("algorithm", "geometric");
   std::string ServeFile = Opts.get("serve");
@@ -181,12 +167,6 @@ int main(int Argc, char **Argv) {
   engine::SessionConfig Cfg;
   Cfg.Algorithm = Algorithm;
   Cfg.AllowDegraded = AllowDegraded;
-  // Equalization knobs ride on the session config; create() range-checks
-  // them and resolves the policy name against the registry, so a typo in
-  // --equalize is a diagnosable error listing the registered policies.
-  Cfg.Equalize.Policy = Opts.get("equalize");
-  Cfg.Equalize.Monitor.TriggerThreshold = ThresholdR.value();
-  Cfg.Equalize.Monitor.Cooldown = static_cast<int>(CooldownR.value());
   Result<std::unique_ptr<engine::Session>> SessionR =
       engine::Session::create(std::move(Cfg));
   if (!SessionR) {
